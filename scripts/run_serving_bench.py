@@ -13,8 +13,6 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from loramem import __version__, adapterio, memlab, multimem, servebench
 from loramem.memlab import TrainConfig
 from loramem.merge import MergeMethod, MergeSpec
@@ -32,13 +30,8 @@ def prepare_assets(outdir: Path, shards: int, seed: int):
         path = outdir / f"{adapter.name}.lmem"
         adapterio.save(adapter, path)
         paths.append(path)
-    single_result = memlab.train(dataset, cfg)
-    centroid = dataset.keys.data.mean(axis=0)
-    centroid = centroid / np.linalg.norm(centroid)
-    single = adapterio.Adapter(
-        name="single", targets={"memory": single_result.pair},
-        metadata={"seed": str(cfg.seed), "d_in": str(dataset.d_in),
-                  "centroid": json.dumps(centroid.tolist())})
+    single = multimem.memory_adapter(
+        "single", memlab.train(dataset, cfg).pair, dataset, cfg)
     single_path = outdir / "single.lmem"
     adapterio.save(single, single_path)
     return dataset, paths, single_path, cfg

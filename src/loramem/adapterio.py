@@ -140,41 +140,6 @@ def _read_f32(payload: bytes, offset: int, rows: int, cols: int, what: str) -> M
     return Matrix(arr.astype(np.float64).reshape(rows, cols))
 
 
-def _write_container(name: str, metadata: dict[str, str],
-                     records: list[dict], chunks: list[bytes], path) -> None:
-    payload = b"".join(chunks)
-    header = {
-        "name": name,
-        "metadata": dict(metadata),
-        "payload_bytes": len(payload),
-        "targets": records,
-    }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload)
-
-
-def save(adapter: Adapter, path) -> None:
-    """Write an adapter as an all-factorized LMEM container."""
-    records, chunks, offset = [], [], 0
-    for tid, pair in adapter.targets.items():
-        a_bytes, b_bytes = _f32_bytes(pair.a), _f32_bytes(pair.b)
-        records.append({
-            "id": tid,
-            "d_out": pair.d_out,
-            "d_in": pair.d_in,
-            "rank": pair.rank,
-            "alpha": pair.alpha,
-            "a_offset": offset,
-            "b_offset": offset + len(a_bytes),
-        })
-        chunks.extend((a_bytes, b_bytes))
-        offset += len(a_bytes) + len(b_bytes)
-    _write_container(adapter.name, adapter.metadata, records, chunks, path)
-
-
 def factorize_dense(dense: Matrix) -> LowRankPair:
     """Exact thin factorization of a dense delta at rank min(d_in, d_out).
 
@@ -228,7 +193,24 @@ def save_merged(name: str, merged: MergedDelta, path,
         })
         chunks.extend((a_bytes, b_bytes))
         offset += len(a_bytes) + len(b_bytes)
-    _write_container(name, metadata or {}, records, chunks, path)
+    payload = b"".join(chunks)
+    header = {
+        "name": name,
+        "metadata": dict(metadata or {}),
+        "payload_bytes": len(payload),
+        "targets": records,
+    }
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_PREAMBLE.pack(MAGIC, FORMAT_VERSION, len(header_bytes)))
+        fh.write(header_bytes)
+        fh.write(payload)
+
+
+def save(adapter: Adapter, path) -> None:
+    """Write an adapter as an all-factorized LMEM container."""
+    save_merged(adapter.name, MergedDelta(adapter.targets), path,
+                metadata=adapter.metadata)
 
 
 def _parse_preamble(blob: bytes, path) -> tuple[dict, bytes]:
@@ -250,6 +232,11 @@ def _parse_preamble(blob: bytes, path) -> tuple[dict, bytes]:
         header = json.loads(blob[_PREAMBLE.size:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header JSON: {exc}") from exc
+    if not isinstance(header, dict) or \
+            not {"name", "metadata", "targets"} <= header.keys():
+        raise FormatError(
+            f"{path}: header must be a JSON object with name, metadata "
+            "and targets")
     payload = blob[header_end:]
     declared = header.get("payload_bytes")
     if declared is not None:

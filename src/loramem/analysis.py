@@ -50,6 +50,13 @@ class SweepGrid:
 
     @classmethod
     def from_json(cls, blob: dict) -> "SweepGrid":
+        """Grid from its JSON config; `base` holds the TrainConfig fields
+        and is read by the caller. Any other key is rejected, so a typo
+        cannot silently run the default grid."""
+        unknown = set(blob).difference(("ranks", "loads", "seeds", "tau",
+                                        "base"))
+        if unknown:
+            raise ValueError(f"unknown grid key(s): {sorted(unknown)}")
         return cls(
             ranks=tuple(blob.get("ranks", DEFAULT_RANKS)),
             loads=tuple(blob.get("loads", DEFAULT_LOADS)),

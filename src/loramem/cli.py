@@ -64,6 +64,17 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--init-stddev", type=float, default=0.02)
 
 
+def _add_merge_flags(parser: argparse.ArgumentParser) -> None:
+    """The merge step of commands that compose routed modules."""
+    parser.add_argument("--merge", default="ties",
+                        choices=[m.value for m in MergeMethod])
+    parser.add_argument("--weights", default=None)
+    parser.add_argument("--density", type=float, default=1.0)
+    parser.add_argument("--drop-rate", type=float, default=0.0)
+    parser.add_argument("--merge-seed", dest="merge_seed", type=int,
+                        default=0)
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     alpha = args.alpha if args.alpha is not None else float(args.rank)
     return TrainConfig(
@@ -116,31 +127,12 @@ def _cmd_lab_gen(args) -> int:
 
 
 def _cmd_lab_train(args) -> int:
-    import numpy as np
-
     dataset = memlab.load_dataset(args.data, args.d_in)
     if args.budget is not None:
         dataset = memlab.slice_by_budget(dataset.records, args.budget, args.d_in)
     config = _train_config(args)
     result = memlab.train(dataset, config)
-    centroid = dataset.keys.data.mean(axis=0)
-    norm = float(np.linalg.norm(centroid))
-    adapter = adapterio.Adapter(
-        name=args.name,
-        targets={multimem.TARGET_ID: result.pair},
-        metadata={
-            "seed": str(config.seed),
-            "d_in": str(dataset.d_in),
-            "d_out": str(memlab.D_OUT),
-            "centroid": json.dumps((centroid / norm).tolist()) if norm else "",
-            "train_config": json.dumps({
-                "rank": config.rank, "alpha": config.alpha,
-                "learning_rate": config.learning_rate, "steps": config.steps,
-                "batch_size": config.batch_size, "seed": config.seed,
-                "init_stddev": config.init_stddev,
-            }, sort_keys=True),
-        },
-    )
+    adapter = multimem.memory_adapter(args.name, result.pair, dataset, config)
     adapterio.save(adapter, args.out)
     em = memlab.evaluate(result.model, dataset)
     _print_json(_report_body(args, {
@@ -418,12 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--shards", type=int, default=8)
     q.add_argument("--route", choices=["oracle", "cosine"], default="oracle")
     q.add_argument("--noise", type=float, default=0.0)
-    q.add_argument("--merge", default="ties",
-                   choices=[m.value for m in MergeMethod])
-    q.add_argument("--weights", default=None)
-    q.add_argument("--density", type=float, default=1.0)
-    q.add_argument("--drop-rate", type=float, default=0.0)
-    q.add_argument("--merge-seed", dest="merge_seed", type=int, default=0)
+    _add_merge_flags(q)
     q.add_argument("--topn", type=int, default=1)
     q.add_argument("--d-in", type=int, default=memlab.D_IN_DEFAULT)
     q.add_argument("--report", required=True)
@@ -438,12 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--data", required=True)
     q.add_argument("--shards", type=int, default=8)
     q.add_argument("--n-range", default="1,2,3,4,5")
-    q.add_argument("--merge", default="ties",
-                   choices=[m.value for m in MergeMethod])
-    q.add_argument("--weights", default=None)
-    q.add_argument("--density", type=float, default=1.0)
-    q.add_argument("--drop-rate", type=float, default=0.0)
-    q.add_argument("--merge-seed", dest="merge_seed", type=int, default=0)
+    _add_merge_flags(q)
     q.add_argument("--d-in", type=int, default=memlab.D_IN_DEFAULT)
     q.add_argument("--report", required=True)
     _add_train_flags(q)
@@ -458,12 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adapters", default=None, help="directory of LMEM files")
     p.add_argument("--single", default=None, help="single adapter path")
     p.add_argument("--topn", type=int, default=3)
-    p.add_argument("--merge", default="ties",
-                   choices=[m.value for m in MergeMethod])
-    p.add_argument("--weights", default=None)
-    p.add_argument("--density", type=float, default=1.0)
-    p.add_argument("--drop-rate", type=float, default=0.0)
-    p.add_argument("--merge-seed", dest="merge_seed", type=int, default=0)
+    _add_merge_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d-in", type=int, default=memlab.D_IN_DEFAULT)
     p.add_argument("--out", required=True)

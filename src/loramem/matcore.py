@@ -173,34 +173,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.data @ b.data)
 
 
-_ELEMENTWISE_OPS = {
-    "add": np.add,
-    "sub": np.subtract,
-    "hadamard": np.multiply,
-}
-
-
-def elementwise(a: Matrix, b: Matrix, op: str) -> Matrix:
-    """Entrywise add / sub / hadamard on equal-shaped matrices."""
-    if op not in _ELEMENTWISE_OPS:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    if a.shape != b.shape:
-        raise ShapeMismatchError(
-            f"elementwise {op} shape mismatch: ({a.rows}x{a.cols}) vs ({b.rows}x{b.cols})"
-        )
-    return Matrix(_ELEMENTWISE_OPS[op](a.data, b.data))
-
-
 def scale(a: Matrix, c: float) -> Matrix:
     return Matrix(a.data * float(c))
-
-
-def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.data.T)
-
-
-def frobenius_norm(a: Matrix) -> float:
-    return float(np.linalg.norm(a.data))
 
 
 def fill_gaussian(rng: Rng, rows: int, cols: int, stddev: float) -> Matrix:
@@ -209,9 +183,3 @@ def fill_gaussian(rng: Rng, rows: int, cols: int, stddev: float) -> Matrix:
         raise ValueError(f"stddev must be >= 0, got {stddev}")
     return Matrix(rng.gaussian(rows * cols).reshape(rows, cols) * stddev)
 
-
-def softmax_rows(a: Matrix) -> Matrix:
-    """Row-wise softmax, numerically stabilized; rows sum to 1."""
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return Matrix(e / e.sum(axis=1, keepdims=True))

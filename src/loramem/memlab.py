@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import matcore
+from . import adapterio, matcore
 from .adapterio import LowRankPair
 from .matcore import Matrix, Rng
 
@@ -245,9 +245,12 @@ class MemoryModel:
     d_in: int = D_IN_DEFAULT
 
     def __post_init__(self):
-        if self.w0.rows != D_OUT or self.w0.cols != self.d_in:
+        expected = (D_OUT, self.d_in)
+        if self.w0.shape != expected or \
+                (self.pair.d_out, self.pair.d_in) != expected:
             raise matcore.ShapeMismatchError(
-                f"w0 is {self.w0.rows}x{self.w0.cols}, "
+                f"w0 is {self.w0.rows}x{self.w0.cols} and the pair's delta "
+                f"{self.pair.d_out}x{self.pair.d_in}, "
                 f"expected {D_OUT}x{self.d_in}"
             )
 
@@ -256,8 +259,7 @@ class MemoryModel:
         return D_OUT
 
     def weight(self) -> Matrix:
-        from . import adapterio
-        return matcore.elementwise(self.w0, adapterio.delta(self.pair), "add")
+        return Matrix(self.w0.data + adapterio.delta(self.pair).data)
 
 
 def frozen_base(seed: int, d_in: int = D_IN_DEFAULT) -> Matrix:
@@ -355,30 +357,34 @@ def train(dataset: KvDataset, config: TrainConfig) -> TrainResult:
                        model=MemoryModel(w0=w0, pair=pair, d_in=d_in))
 
 
-def _digit_predictions(weight: np.ndarray, keys: np.ndarray):
-    """Per-record digit argmaxes plus a per-record unambiguous flag."""
-    logits = keys @ weight.T
-    blocks = logits.reshape(len(keys), N_POSITIONS, 10)
-    top = blocks.max(axis=2)
-    unambiguous = ((blocks == top[:, :, None]).sum(axis=2) == 1).all(axis=1)
-    return blocks.argmax(axis=2), unambiguous
+def _decode(logits: np.ndarray):
+    """Digit argmaxes per position plus an unambiguous flag per record, for
+    logits of shape (..., D_OUT)."""
+    blocks = logits.reshape(*logits.shape[:-1], N_POSITIONS, 10)
+    top = blocks.max(axis=-1)
+    unambiguous = ((blocks == top[..., None]).sum(axis=-1) == 1).all(axis=-1)
+    return blocks.argmax(axis=-1), unambiguous
+
+
+def exact_match(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Strict exact match per record: every digit position must argmax to
+    its label, with no tie (a tie counts as incorrect). logits is
+    (..., D_OUT), labels (..., N_POSITIONS)."""
+    digits, unambiguous = _decode(logits)
+    return (digits == labels).all(axis=-1) & unambiguous
 
 
 def evaluate(model: MemoryModel, dataset: KvDataset) -> float:
-    """Strict exact-match rate: every digit position must argmax to the
-    right class, with no ties (a tie counts as incorrect)."""
+    """Strict exact-match rate over the dataset."""
     if len(dataset) == 0:
         return 0.0
-    digits, unambiguous = _digit_predictions(model.weight().data,
-                                             dataset.keys.data)
-    correct = (digits == dataset.labels).all(axis=1) & unambiguous
-    return float(correct.mean())
+    logits = dataset.keys.data @ model.weight().data.T
+    return float(exact_match(logits, dataset.labels).mean())
 
 
 def predict_number(model: MemoryModel, key: np.ndarray) -> str | None:
     """Decode one key to a number string; None on any argmax tie."""
-    digits, unambiguous = _digit_predictions(model.weight().data,
-                                             key.reshape(1, -1))
+    digits, unambiguous = _decode(key.reshape(1, -1) @ model.weight().data.T)
     if not unambiguous[0]:
         return None
     d = "".join(str(int(x)) for x in digits[0])

@@ -15,6 +15,7 @@ list position.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -74,17 +75,10 @@ def _check_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _uniform_weights(n: int) -> tuple[float, ...]:
-    return tuple([1.0 / n] * n)
-
-
-def _canonical_order(adapters, weights=None):
+def _canonical_order(adapters, w: np.ndarray):
     """Sort (adapter, weight) pairs by adapter name, keeping the pairing."""
-    if weights is None:
-        order = sorted(range(len(adapters)), key=lambda i: adapters[i].name)
-        return [adapters[i] for i in order], None
     order = sorted(range(len(adapters)), key=lambda i: adapters[i].name)
-    return [adapters[i] for i in order], np.asarray([weights[i] for i in order])
+    return [adapters[i] for i in order], w[order]
 
 
 def _shared_targets(adapters) -> list[str]:
@@ -109,28 +103,45 @@ def _shared_targets(adapters) -> list[str]:
     return base_ids
 
 
-def _dense_deltas(adapters, target_ids) -> dict[str, list[np.ndarray]]:
-    return {
-        tid: [adapterio.delta(ad.targets[tid]).data for ad in adapters]
-        for tid in target_ids
-    }
+def _weighted_sum(arrays: list[np.ndarray], w: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(arrays[0])
+    for wi, ai in zip(w, arrays):
+        acc += wi * ai
+    return acc
+
+
+def _merge_dense(adapters: list[Adapter], weights, combine,
+                 drop_rate: float = 0.0, seed: int = 0) -> MergedDelta:
+    """Densify each adapter's delta per target, optionally drop and rescale
+    it, and combine the deltas in canonical order with `combine(deltas, w)`.
+
+    Drop masks come from streams keyed by (seed, adapter name), so distinct
+    adapters get independent masks and permuting the input list does not
+    change any adapter's mask.
+    """
+    target_ids = _shared_targets(adapters)
+    if weights is None:
+        weights = [1.0 / len(adapters)] * len(adapters)
+    w = _check_weights(weights, len(adapters))
+    adapters, w = _canonical_order(adapters, w)
+    if drop_rate:
+        rescale = 1.0 / (1.0 - drop_rate)
+        rngs = [Rng(seed).derive("dare-mask", ad.name) for ad in adapters]
+    out: dict[str, LowRankPair | Matrix] = {}
+    for tid in target_ids:
+        deltas = [adapterio.delta(ad.targets[tid]).data for ad in adapters]
+        if drop_rate:
+            deltas = [np.where(rng.bernoulli(d.size, 1.0 - drop_rate)
+                               .reshape(d.shape), d * rescale, 0.0)
+                      for rng, d in zip(rngs, deltas)]
+        out[tid] = Matrix(combine(deltas, w))
+    return MergedDelta(out)
 
 
 def merge_linear(adapters: list[Adapter],
                  weights: list[float] | None = None) -> MergedDelta:
     """Weighted average of dense deltas; weights sum to 1."""
-    target_ids = _shared_targets(adapters)
-    if weights is None:
-        weights = _uniform_weights(len(adapters))
-    w = _check_weights(weights, len(adapters))
-    adapters, w = _canonical_order(adapters, w)
-    out: dict[str, LowRankPair | Matrix] = {}
-    for tid, deltas in _dense_deltas(adapters, target_ids).items():
-        acc = np.zeros_like(deltas[0])
-        for wi, di in zip(w, deltas):
-            acc += wi * di
-        out[tid] = Matrix(acc)
-    return MergedDelta(out)
+    return _merge_dense(adapters, weights, _weighted_sum)
 
 
 def merge_cat(adapters: list[Adapter]) -> MergedDelta:
@@ -141,7 +152,7 @@ def merge_cat(adapters: list[Adapter]) -> MergedDelta:
     input deltas. Ranks may differ across inputs.
     """
     target_ids = _shared_targets(adapters)
-    adapters, _ = _canonical_order(adapters)
+    adapters = sorted(adapters, key=lambda ad: ad.name)
     out: dict[str, LowRankPair | Matrix] = {}
     for tid in target_ids:
         pairs = [ad.targets[tid] for ad in adapters]
@@ -170,14 +181,14 @@ def _trim(dense: np.ndarray, density: float) -> np.ndarray:
     return np.where(mask.reshape(dense.shape), dense, 0.0)
 
 
-def _ties_combine(trimmed: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    """Elect the dominant sign, then renormalized mean of agreeing survivors."""
-    weighted_sum = np.zeros_like(trimmed[0])
-    for wi, ti in zip(w, trimmed):
-        weighted_sum += wi * ti
-    elected = np.sign(weighted_sum)
-    num = np.zeros_like(weighted_sum)
-    den = np.zeros_like(weighted_sum)
+def _ties_combine(deltas: list[np.ndarray], w: np.ndarray,
+                  density: float) -> np.ndarray:
+    """Trim, elect the dominant sign, then renormalized mean of agreeing
+    survivors."""
+    trimmed = [_trim(d, density) for d in deltas]
+    elected = np.sign(_weighted_sum(trimmed, w))
+    num = np.zeros_like(elected)
+    den = np.zeros_like(elected)
     for wi, ti in zip(w, trimmed):
         agree = (np.sign(ti) == elected) & (ti != 0.0)
         num += np.where(agree, wi * ti, 0.0)
@@ -197,42 +208,8 @@ def merge_ties(adapters: list[Adapter], weights: list[float] | None = None,
     """
     if not 0.0 < density <= 1.0:
         raise MergeError(f"density must be in (0, 1], got {density}")
-    target_ids = _shared_targets(adapters)
-    if weights is None:
-        weights = _uniform_weights(len(adapters))
-    w = _check_weights(weights, len(adapters))
-    adapters, w = _canonical_order(adapters, w)
-    out: dict[str, LowRankPair | Matrix] = {}
-    for tid, deltas in _dense_deltas(adapters, target_ids).items():
-        trimmed = [_trim(d, density) for d in deltas]
-        out[tid] = Matrix(_ties_combine(trimmed, w))
-    return MergedDelta(out)
-
-
-def _dare_mask(rng: Rng, shape: tuple[int, int], drop_rate: float) -> np.ndarray:
-    return rng.bernoulli(shape[0] * shape[1], 1.0 - drop_rate).reshape(shape)
-
-
-def _sparsify(adapters: list[Adapter], target_ids, spec: MergeSpec):
-    """Per-adapter drop-and-rescale of dense deltas.
-
-    Mask streams are keyed by (spec.seed, adapter name), so distinct
-    adapters get independent masks and permuting the input list does not
-    change any adapter's mask.
-    """
-    p = spec.drop_rate
-    rescale = 1.0 / (1.0 - p)
-    sparsified: dict[str, list[np.ndarray]] = {tid: [] for tid in target_ids}
-    for ad in adapters:
-        rng = Rng(spec.seed).derive("dare-mask", ad.name)
-        for tid in target_ids:
-            dense = adapterio.delta(ad.targets[tid]).data
-            if p == 0.0:
-                sparsified[tid].append(dense)
-            else:
-                mask = _dare_mask(rng, dense.shape, p)
-                sparsified[tid].append(np.where(mask, dense * rescale, 0.0))
-    return sparsified
+    return _merge_dense(adapters, weights,
+                        functools.partial(_ties_combine, density=density))
 
 
 def merge_dare(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:
@@ -240,23 +217,10 @@ def merge_dare(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:
     1 / (1 - p), then combine with the linear or ties rule."""
     if spec.method not in (MergeMethod.DARE_LINEAR, MergeMethod.DARE_TIES):
         raise MergeError(f"merge_dare called with method {spec.method}")
-    target_ids = _shared_targets(adapters)
-    weights = spec.weights or _uniform_weights(len(adapters))
-    w = _check_weights(weights, len(adapters))
-    adapters, w = _canonical_order(adapters, w)
-    sparsified = _sparsify(adapters, target_ids, spec)
-    out: dict[str, LowRankPair | Matrix] = {}
-    if spec.method == MergeMethod.DARE_LINEAR:
-        for tid, deltas in sparsified.items():
-            acc = np.zeros_like(deltas[0])
-            for wi, di in zip(w, deltas):
-                acc += wi * di
-            out[tid] = Matrix(acc)
-    else:
-        for tid, deltas in sparsified.items():
-            trimmed = [_trim(d, spec.density) for d in deltas]
-            out[tid] = Matrix(_ties_combine(trimmed, w))
-    return MergedDelta(out)
+    combine = _weighted_sum if spec.method == MergeMethod.DARE_LINEAR \
+        else functools.partial(_ties_combine, density=spec.density)
+    return _merge_dense(adapters, spec.weights or None, combine,
+                        spec.drop_rate, spec.seed)
 
 
 def merge(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:

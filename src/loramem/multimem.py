@@ -12,12 +12,12 @@ evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import adapterio, matcore, memlab, merge as merge_mod, router
-from .adapterio import Adapter
+from .adapterio import Adapter, LowRankPair
 from .matcore import Matrix
 from .memlab import D_OUT, KvDataset, MemoryModel, TrainConfig
 from .merge import MergeSpec
@@ -61,13 +61,30 @@ def _shard_name(shard: int) -> str:
     return f"shard_{shard:03d}"
 
 
+def memory_adapter(name: str, pair: LowRankPair, dataset: KvDataset,
+                   config: TrainConfig) -> Adapter:
+    """A trained memory pair as an adapter.
+
+    Metadata carries the training seed and config, the geometry, and the
+    normalized key centroid of the data the pair learned (for registry-side
+    index building).
+    """
+    centroid = dataset.keys.data.mean(axis=0)
+    norm = float(np.linalg.norm(centroid))
+    return Adapter(name=name, targets={TARGET_ID: pair}, metadata={
+        "seed": str(config.seed),
+        "rank": str(config.rank),
+        "alpha": repr(config.alpha),
+        "d_in": str(dataset.d_in),
+        "d_out": str(D_OUT),
+        "centroid": json.dumps((centroid / norm).tolist()) if norm > 0 else "",
+        "train_config": json.dumps(asdict(config), sort_keys=True),
+    })
+
+
 def train_shards(dataset: KvDataset, plan: ShardPlan,
                  config: TrainConfig) -> list[Adapter]:
-    """One adapter per shard via the memory lab trainer.
-
-    Metadata carries the training seed, geometry, and the shard's key
-    centroid (for registry-side index building).
-    """
+    """One adapter per shard via the memory lab trainer."""
     adapters = []
     for shard, shard_ds in enumerate(shard_datasets(dataset, plan)):
         try:
@@ -75,25 +92,8 @@ def train_shards(dataset: KvDataset, plan: ShardPlan,
         except memlab.TrainingDiverged as exc:
             raise ShardError(
                 f"shard {shard} diverged at step {exc.step}") from exc
-        centroid = shard_ds.keys.data.mean(axis=0)
-        norm = float(np.linalg.norm(centroid))
-        metadata = {
-            "seed": str(config.seed),
-            "rank": str(config.rank),
-            "alpha": repr(config.alpha),
-            "d_in": str(shard_ds.d_in),
-            "d_out": str(D_OUT),
-            "centroid": json.dumps((centroid / norm).tolist()) if norm > 0 else "",
-            "train_config": json.dumps({
-                "rank": config.rank, "alpha": config.alpha,
-                "learning_rate": config.learning_rate, "steps": config.steps,
-                "batch_size": config.batch_size, "seed": config.seed,
-                "init_stddev": config.init_stddev,
-            }, sort_keys=True),
-        }
-        adapters.append(Adapter(name=_shard_name(shard),
-                                targets={TARGET_ID: result.pair},
-                                metadata=metadata))
+        adapters.append(memory_adapter(_shard_name(shard), result.pair,
+                                       shard_ds, config))
     return adapters
 
 
@@ -124,42 +124,34 @@ class SystemReport:
     config_echo: dict = field(default_factory=dict)
 
 
-class _MergeCache:
-    """Dense merged weight per distinct module set; merges are order
-    independent, so the sorted id tuple is a sound key."""
-
-    def __init__(self, w0: np.ndarray, by_name: dict[str, Adapter],
-                 spec: MergeSpec):
-        self.w0 = w0
-        self.by_name = by_name
-        self.spec = spec
-        self._cache: dict[tuple[str, ...], np.ndarray] = {}
-
-    def weight_for(self, module_ids: list[str]) -> np.ndarray:
-        key = tuple(sorted(module_ids))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if len(key) == 1:
-            delta = adapterio.delta(
-                self.by_name[key[0]].targets[TARGET_ID]).data
-        else:
-            merged = merge_mod.merge([self.by_name[mid] for mid in key],
-                                     self.spec)
-            delta = merged.densify(TARGET_ID).data
-        weight = self.w0 + delta
-        self._cache[key] = weight
-        return weight
+def compose(adapters: list[Adapter], spec: MergeSpec) -> np.ndarray:
+    """Dense delta of a module selection: one module applies its own delta;
+    several are merged under `spec` and densified."""
+    if len(adapters) == 1:
+        return adapterio.delta(adapters[0].targets[TARGET_ID]).data
+    return merge_mod.merge(adapters, spec).densify(TARGET_ID).data
 
 
-def _record_correct(weight: np.ndarray, key: np.ndarray,
-                    labels: np.ndarray) -> bool:
-    logits = weight @ key
-    blocks = logits.reshape(memlab.N_POSITIONS, 10)
-    top = blocks.max(axis=1)
-    if ((blocks == top[:, None]).sum(axis=1) != 1).any():
-        return False
-    return bool((blocks.argmax(axis=1) == labels).all())
+def _score(dataset: KvDataset, adapters: list[Adapter], w0: np.ndarray,
+           spec: MergeSpec, selections: list[list[str]]) -> float:
+    """Exact-match rate when record i is answered by the composition of the
+    modules in selections[i]. Merges are order independent, so the weight
+    of each distinct module set is composed once, keyed by its sorted ids.
+    """
+    by_name = {ad.name: ad for ad in adapters}
+    weights: dict[tuple[str, ...], np.ndarray] = {}
+    hits = 0
+    for i, chosen in enumerate(selections):
+        key = tuple(sorted(chosen))
+        if key not in weights:
+            try:
+                weights[key] = w0 + compose([by_name[m] for m in key], spec)
+            except (merge_mod.MergeError, matcore.ShapeMismatchError) as exc:
+                raise ShardError(
+                    f"query {i}: merge of {chosen} failed: {exc}") from exc
+        hits += bool(memlab.exact_match(weights[key] @ dataset.keys.data[i],
+                                        dataset.labels[i]))
+    return hits / len(dataset)
 
 
 def eval_system(dataset: KvDataset, adapters: list[Adapter],
@@ -175,31 +167,23 @@ def eval_system(dataset: KvDataset, adapters: list[Adapter],
         raise ShardError(
             f"top_n {config.top_n} exceeds {plan.shard_count} shards")
     w0 = memlab.frozen_base(config.train.seed, dataset.d_in)
-    by_name = {ad.name: ad for ad in adapters}
-    cache = _MergeCache(w0.data, by_name, config.merge)
     # The system's top_n is the retrieval depth; the policy keeps its noise
     # and seed. Oracle routing always returns exactly the true module.
     policy = replace(config.policy, k=min(config.top_n, len(index))) \
         if config.policy.kind == PolicyKind.COSINE_TOP_K else config.policy
-    hits = routing_hits = 0
-    for i in range(len(dataset)):
-        truth = _shard_name(plan.assignment[i])
-        ranked = router.route(index, dataset.keys.data[i], policy,
-                              truth=truth, ordinal=i)
-        routing_hits += ranked[0][0] == truth
-        chosen = [mid for mid, _ in ranked[:config.top_n]]
-        try:
-            weight = cache.weight_for(chosen)
-        except (merge_mod.MergeError, matcore.ShapeMismatchError) as exc:
-            raise ShardError(f"query {i}: merge of {chosen} failed: {exc}") \
-                from exc
-        hits += _record_correct(weight, dataset.keys.data[i],
-                                dataset.labels[i])
-    per_shard = per_shard_em(dataset, plan, adapters, w0)
+    truths = [_shard_name(shard) for shard in plan.assignment]
+    routes = [router.route(index, dataset.keys.data[i], policy,
+                           truth=truths[i], ordinal=i)
+              for i in range(len(dataset))]
+    em = _score(dataset, adapters, w0.data, config.merge,
+                [[mid for mid, _ in ranked[:config.top_n]]
+                 for ranked in routes])
+    routing_hits = sum(ranked[0][0] == truth
+                       for ranked, truth in zip(routes, truths))
     return SystemReport(
-        em=hits / len(dataset),
+        em=em,
         routing_accuracy=routing_hits / len(dataset),
-        per_shard_em=per_shard,
+        per_shard_em=per_shard_em(dataset, plan, adapters, w0),
         shard_count=plan.shard_count,
     )
 
@@ -229,17 +213,8 @@ def interference_sweep(dataset: KvDataset, adapters: list[Adapter],
     for n in n_range:
         if not 1 <= n <= s_count:
             raise ShardError(f"merge count {n} out of range [1, {s_count}]")
-    w0 = memlab.frozen_base(config.train.seed, dataset.d_in)
-    by_name = {ad.name: ad for ad in adapters}
-    cache = _MergeCache(w0.data, by_name, config.merge)
-    out: dict[int, float] = {}
-    for n in n_range:
-        hits = 0
-        for i in range(len(dataset)):
-            shard = plan.assignment[i]
-            chosen = [_shard_name((shard + j) % s_count) for j in range(n)]
-            weight = cache.weight_for(chosen)
-            hits += _record_correct(weight, dataset.keys.data[i],
-                                    dataset.labels[i])
-        out[n] = hits / len(dataset)
-    return out
+    w0 = memlab.frozen_base(config.train.seed, dataset.d_in).data
+    return {n: _score(dataset, adapters, w0, config.merge,
+                      [[_shard_name((shard + j) % s_count) for j in range(n)]
+                       for shard in plan.assignment])
+            for n in n_range}

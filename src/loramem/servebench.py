@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapterio, memlab, merge as merge_mod, router
+from . import adapterio, memlab, router
 from .adapterio import Adapter
 from .matcore import Matrix
 from .merge import MergeMethod, MergeSpec
-from .multimem import TARGET_ID
+from .multimem import compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
 STAGE_NAMES = (
@@ -152,25 +152,17 @@ def _load_adapter(path, counts) -> Adapter:
     return adapterio.load(path)
 
 
-def _centroid_of(adapter: Adapter) -> np.ndarray:
-    raw = adapter.metadata.get("centroid", "")
-    if not raw:
-        raise BenchError(f"adapter {adapter.name!r} has no centroid metadata")
-    return np.asarray(json.loads(raw), dtype=np.float64)
-
-
-def _index_from_centroids(entries: list[tuple[str, np.ndarray]]) -> EmbeddingIndex:
-    return router.build_index(
-        [(name, Matrix(vec.reshape(1, -1))) for name, vec in entries])
-
-
-def _header_centroid(path, counts) -> tuple[str, np.ndarray]:
-    _count_read(counts, path)
-    header = adapterio.inspect_header(path)
-    raw = header["metadata"].get("centroid", "")
-    if not raw:
-        raise BenchError(f"{path}: no centroid metadata in header")
-    return header["name"], np.asarray(json.loads(raw), dtype=np.float64)
+def _centroid_index(entries) -> EmbeddingIndex:
+    """Cosine index over (adapter name, metadata) pairs, from the key
+    centroid each adapter carries in its metadata."""
+    rows = []
+    for name, metadata in entries:
+        raw = metadata.get("centroid", "")
+        if not raw:
+            raise BenchError(f"adapter {name!r} has no centroid metadata")
+        centroid = np.asarray(json.loads(raw), dtype=np.float64)
+        rows.append((name, Matrix(centroid.reshape(1, -1))))
+    return router.build_index(rows)
 
 
 def _questions(scenario: BenchScenario) -> list[int]:
@@ -178,16 +170,6 @@ def _questions(scenario: BenchScenario) -> list[int]:
     if n == 0:
         raise BenchError("scenario dataset is empty")
     return [i % n for i in range(scenario.question_count)]
-
-
-def _infer_digits(weight: np.ndarray, key: np.ndarray,
-                  labels: np.ndarray) -> bool:
-    logits = weight @ key
-    blocks = logits.reshape(memlab.N_POSITIONS, 10)
-    top = blocks.max(axis=1)
-    if ((blocks == top[:, None]).sum(axis=1) != 1).any():
-        return False
-    return bool((blocks.argmax(axis=1) == labels).all())
 
 
 def run_bench(scenario: BenchScenario) -> TimingReport:
@@ -206,6 +188,7 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
 
     mode = scenario.mode
     preloaded: dict[str, Adapter] = {}
+    paths_by_name: dict[str, Path] = {}
     index = None
     weight = w0
 
@@ -215,7 +198,7 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         watch.lap()
         adapter = _load_adapter(scenario.single_adapter_path, read_counts)
         stages.append(("lora_loading", watch.lap()))
-        weight = w0 + adapterio.delta(adapter.targets[TARGET_ID]).data
+        weight = w0 + compose([adapter], scenario.merge_spec)
         stages.append(("lora_activation", watch.lap()))
     elif mode == Mode.PRELOADED:
         if not scenario.adapter_paths:
@@ -224,18 +207,17 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         loaded = [_load_adapter(p, read_counts) for p in scenario.adapter_paths]
         stages.append(("all_lora_loading", watch.lap()))
         preloaded = {ad.name: ad for ad in loaded}
-        index = _index_from_centroids(
-            [(ad.name, _centroid_of(ad)) for ad in loaded])
-    paths_by_name: dict[str, Path] = {}
-    if mode == Mode.DYNAMIC:
+        index = _centroid_index((ad.name, ad.metadata) for ad in loaded)
+    elif mode == Mode.DYNAMIC:
         if not scenario.adapter_paths:
             raise BenchError("dynamic mode needs adapter_paths")
-        entries = []
+        headers = []
         for path in scenario.adapter_paths:
-            name, centroid = _header_centroid(path, read_counts)
-            entries.append((name, centroid))
-            paths_by_name[name] = Path(path)
-        index = _index_from_centroids(entries)
+            _count_read(read_counts, path)
+            header = adapterio.inspect_header(path)
+            headers.append((header["name"], header["metadata"]))
+            paths_by_name[header["name"]] = Path(path)
+        index = _centroid_index(headers)
 
     policy = RoutingPolicy(kind=PolicyKind.COSINE_TOP_K,
                            k=min(scenario.top_n, len(index)) if index else 1)
@@ -244,8 +226,7 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         record = ds.records[rec_idx]
         q: dict[str, float] = {}
         watch.lap()
-
-        if mode in (Mode.PRELOADED, Mode.DYNAMIC):
+        if index is not None:
             key = memlab.encode_key(record.name, scenario.d_in)
             q["query_embedding"] = watch.lap()
             ranked = router.route(index, key, policy, ordinal=ordinal)
@@ -257,30 +238,22 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
                 q["lora_loading"] = watch.lap()
             else:
                 selected = [preloaded[mid] for mid in chosen]
-            if len(selected) == 1:
-                delta = adapterio.delta(selected[0].targets[TARGET_ID]).data
-            else:
-                merged = merge_mod.merge(selected, scenario.merge_spec)
-                delta = merged.densify(TARGET_ID).data
+            delta = compose(selected, scenario.merge_spec)
             q["lora_merge"] = watch.lap()
             weight = w0 + delta
             q["lora_activation"] = watch.lap()
-            watch.lap()
-            question_text = (f"Question: What is the phone number of "
-                             f"{record.name}? Answer:")
-            _ = question_text.split()
-            q["tokenization"] = watch.lap()
-        else:
+
+        watch.lap()
+        question_text = (f"Question: What is the phone number of "
+                         f"{record.name}? Answer:")
+        _ = question_text.split()
+        if index is None:
             # Closed-book modes: turning the prompt into the model input
             # (split + key encoding) is all tokenization-side work here.
-            watch.lap()
-            question_text = (f"Question: What is the phone number of "
-                             f"{record.name}? Answer:")
-            _ = question_text.split()
             key = memlab.encode_key(record.name, scenario.d_in)
-            q["tokenization"] = watch.lap()
+        q["tokenization"] = watch.lap()
 
-        correct = _infer_digits(weight, key, ds.labels[rec_idx])
+        correct = bool(memlab.exact_match(weight @ key, ds.labels[rec_idx]))
         q["inference"] = watch.lap()
         hits += correct
         per_query.append(q)
@@ -329,7 +302,6 @@ class AdapterRegistry:
 
     def register(self, path) -> int:
         adapter = adapterio.load(path)
-        centroid = _centroid_of(adapter)
         seed = int(adapter.metadata.get("seed", "0"))
         d_in = int(adapter.metadata.get("d_in", str(memlab.D_IN_DEFAULT)))
         with self._write_lock:
@@ -345,9 +317,8 @@ class AdapterRegistry:
                 memlab.frozen_base(seed, d_in).data
             adapters = dict(state.adapters)
             adapters[adapter.name] = adapter
-            centroids = sorted(
-                (name, _centroid_of(ad)) for name, ad in adapters.items())
-            index = _index_from_centroids(centroids)
+            index = _centroid_index((name, adapters[name].metadata)
+                                    for name in sorted(adapters))
             self._state = _RegistryState(adapters, index, w0, d_in, seed)
             return len(adapters)
 
@@ -361,6 +332,8 @@ class AdapterRegistry:
         if not state.adapters:
             raise BenchError("no adapters registered")
         vec = np.asarray(vector, dtype=np.float64)
+        if not np.isfinite(vec).all():
+            raise BenchError("query vector has NaN or Inf entries")
         if vec.size != state.d_in:
             raise BenchError(
                 f"query dimension {vec.size} != registry d_in {state.d_in}")
@@ -378,13 +351,8 @@ class AdapterRegistry:
             chosen = list(modules)
             ranked = [(mid, 1.0) for mid in chosen]
         stage_times["index_search"] = watch.lap()
-        spec = _merge_spec_from(merge_blob)
-        if len(chosen) == 1:
-            delta = adapterio.delta(
-                state.adapters[chosen[0]].targets[TARGET_ID]).data
-        else:
-            merged = merge_mod.merge([state.adapters[m] for m in chosen], spec)
-            delta = merged.densify(TARGET_ID).data
+        delta = compose([state.adapters[m] for m in chosen],
+                        _merge_spec_from(merge_blob))
         stage_times["lora_merge"] = watch.lap()
         weight = state.w0 + delta
         stage_times["lora_activation"] = watch.lap()
@@ -449,10 +417,14 @@ class _Handler(socketserver.StreamRequestHandler):
                 count = registry.register(request["path"])
                 return {"ok": True, "adapters": count}
             if op == "query":
+                merge_blob = request.get("merge")
+                if merge_blob is not None and not isinstance(merge_blob, dict):
+                    return {"error": {"code": "bad_request",
+                                      "message": "merge must be a JSON object"}}
                 result = registry.query(
                     vector=request["vector"],
                     top_n=int(request.get("top_n", 1)),
-                    merge_blob=request.get("merge"),
+                    merge_blob=merge_blob,
                     modules=request.get("modules"),
                 )
                 return {"ok": True, **result}

@@ -51,12 +51,10 @@ def test_delta_linear_in_b():
     a = Matrix(rng.gaussian(12).reshape(3, 4))
     b1 = Matrix(rng.gaussian(6).reshape(2, 3))
     b2 = Matrix(rng.gaussian(6).reshape(2, 3))
-    both = LowRankPair(a=a, b=matcore.elementwise(b1, b2, "add"),
-                       alpha=1.5, rank=3)
-    split = matcore.elementwise(
-        delta(LowRankPair(a=a, b=b1, alpha=1.5, rank=3)),
-        delta(LowRankPair(a=a, b=b2, alpha=1.5, rank=3)), "add")
-    np.testing.assert_allclose(delta(both).data, split.data, atol=1e-12)
+    both = LowRankPair(a=a, b=Matrix(b1.data + b2.data), alpha=1.5, rank=3)
+    split = (delta(LowRankPair(a=a, b=b1, alpha=1.5, rank=3)).data
+             + delta(LowRankPair(a=a, b=b2, alpha=1.5, rank=3)).data)
+    np.testing.assert_allclose(delta(both).data, split, atol=1e-12)
 
 
 def test_rank_doubling_with_zero_padding_halves_delta_exactly():
@@ -189,6 +187,29 @@ def test_malformed_header_json(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(adapterio.FormatError, match="malformed header"):
         load(path)
+
+
+def write_raw_header(path, header) -> None:
+    """An LMEM file with a valid preamble, the given JSON header and no
+    payload."""
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<4sIQ", b"LMEM", 1, len(raw)) + raw)
+
+
+@pytest.mark.parametrize("header", [
+    [1, 2],
+    "name",
+    {"metadata": {}, "targets": []},
+    {"name": "x", "targets": []},
+    {"name": "x", "metadata": {}},
+])
+def test_header_must_be_object_with_required_keys(tmp_path, header):
+    path = tmp_path / "h.lmem"
+    write_raw_header(path, header)
+    with pytest.raises(adapterio.FormatError, match="header must be"):
+        load(path)
+    with pytest.raises(adapterio.FormatError, match="header must be"):
+        adapterio.inspect_header(path)
 
 
 def test_header_payload_length_disagreement(tmp_path):

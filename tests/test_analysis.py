@@ -29,6 +29,15 @@ def test_grid_validation():
         SweepGrid(tau=0.0)
 
 
+def test_grid_json_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="rank"):
+        SweepGrid.from_json({"rank": [2]})
+    grid = SweepGrid.from_json({"ranks": [2], "loads": [16], "seeds": [1],
+                                "tau": 0.5, "base": {"steps": 10}})
+    assert (grid.ranks, grid.loads, grid.seeds, grid.tau) == \
+        ((2,), (16,), (1,), 0.5)
+
+
 def test_find_t_max_linear_scan_oracle():
     res = synthetic_result({(4, 1000): 0.99, (4, 2000): 0.95, (4, 3000): 0.60},
                            ranks=[4], loads=[1000, 2000, 3000])

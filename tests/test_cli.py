@@ -114,6 +114,17 @@ def test_sweep_cli_writes_csvs_with_config_echo(capsys, tmp_path):
     assert (tmp_path / "efficiency.csv").exists()
 
 
+def test_sweep_grid_typo_is_runtime_error(capsys, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"rank": [2]}))
+    code, _, err = run_cli(capsys, "sweep", "--grid", str(grid),
+                           "--out", str(tmp_path / "r.csv"),
+                           "--efficiency-out", str(tmp_path / "e.csv"))
+    assert code == 1
+    assert err.startswith("loramem: error[runtime]:") and "rank" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_sweep_reports_byte_identical_across_runs(capsys, tmp_path,
                                                   monkeypatch):
     # identical argv (relative paths), two working directories

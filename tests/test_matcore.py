@@ -53,46 +53,9 @@ def test_matmul_associative(seed):
     np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
-def test_elementwise_ops():
-    m = rand_matrix(Rng(1), 2, 3)
-    ones = Matrix(np.ones((2, 3)))
-    zeros = Matrix.zeros(2, 3)
-    assert matcore.elementwise(m, ones, "hadamard") == m
-    assert matcore.elementwise(m, zeros, "add") == m
-    assert matcore.elementwise(m, m, "sub") == zeros
-
-
-def test_elementwise_shape_error():
-    with pytest.raises(ShapeMismatchError):
-        matcore.elementwise(Matrix.zeros(2, 2), Matrix.zeros(2, 3), "add")
-
-
-def test_elementwise_unknown_op():
-    with pytest.raises(ValueError, match="unknown elementwise op"):
-        matcore.elementwise(Matrix.zeros(1, 1), Matrix.zeros(1, 1), "mul")
-
-
 def test_scale_transpose_frobenius():
     m = rand_matrix(Rng(2), 3, 4)
     assert matcore.scale(m, 1.0) == m
-    assert matcore.transpose(matcore.transpose(m)) == m
-    assert matcore.frobenius_norm(Matrix.zeros(5, 5)) == 0.0
-    assert matcore.frobenius_norm(m) == pytest.approx(
-        float(np.sqrt((m.data ** 2).sum())))
-
-
-def test_softmax_uniform_row():
-    out = matcore.softmax_rows(Matrix(np.full((2, 5), 3.7)))
-    np.testing.assert_allclose(out.data, 0.2, atol=1e-12)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=2**62))
-def test_softmax_rows_positive_sum_to_one(seed):
-    m = Matrix(Rng(seed).gaussian(24).reshape(4, 6) * 50)
-    out = matcore.softmax_rows(m)
-    assert (out.data > 0).all()
-    np.testing.assert_allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_fill_gaussian_deterministic_per_seed():

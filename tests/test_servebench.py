@@ -1,6 +1,7 @@
 import json
 import socket
 import statistics
+import struct
 import threading
 
 import numpy as np
@@ -10,8 +11,8 @@ from loramem import adapterio, memlab, multimem
 from loramem.memlab import TrainConfig
 from loramem.merge import MergeMethod, MergeSpec
 from loramem.servebench import (
-    STAGE_NAMES, BenchError, BenchScenario, Mode, RegistryServer, ServeConfig,
-    request_line, run_bench, serve_in_thread,
+    STAGE_NAMES, AdapterRegistry, BenchError, BenchScenario, Mode,
+    RegistryServer, ServeConfig, request_line, run_bench, serve_in_thread,
 )
 
 
@@ -196,6 +197,43 @@ def test_malformed_request_keeps_connection_open(server):
         assert json.loads(fh.readline())["error"]["code"] == "bad_json"
         conn.sendall(b'{"op": "wat"}\n')
         assert json.loads(fh.readline())["error"]["code"] == "unknown_op"
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+def test_non_object_merge_is_bad_request_and_connection_stays_open(server):
+    srv, (dataset, paths, single_path, cfg) = server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 3, "merge": "ties"}
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps(query) + "\n").encode())
+        assert json.loads(fh.readline())["error"]["code"] == "bad_request"
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_query_vector_is_rejected(assets, bad):
+    dataset, paths, single_path, cfg = assets
+    registry = AdapterRegistry()
+    registry.register(paths[0])
+    vector = dataset.keys.data[0].tolist()
+    vector[3] = bad
+    with pytest.raises(BenchError, match="NaN or Inf"):
+        registry.query(vector, 1, None)
+
+
+def test_register_non_object_header_keeps_connection_open(server, tmp_path):
+    srv, _ = server
+    path = tmp_path / "list_header.lmem"
+    raw = b"[1,2]"
+    path.write_bytes(struct.pack("<4sIQ", b"LMEM", 1, len(raw)) + raw)
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps({"op": "register", "path": str(path)})
+                      + "\n").encode())
+        assert json.loads(fh.readline())["error"]["code"] == "FormatError"
         conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
         assert json.loads(fh.readline())["ok"]
 
