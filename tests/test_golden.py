@@ -120,3 +120,56 @@ def test_registry_logits_digests(shards):
                                  {"method": "ties", "density": 0.3})
            ["em_logits_digest"] for top_n in GOLDEN_REGISTRY}
     assert got == GOLDEN_REGISTRY
+
+
+# save_merged rounds to float32, which can hide float64 drift in a merge, so
+# the dense float64 bytes of the merged deltas are pinned as well.
+DENSE_SPECS = {
+    "ties-0.3": MERGE_SPECS["ties"],
+    "ties-1.0": MergeSpec(method=MergeMethod.TIES, density=1.0),
+    "dare-ties": MERGE_SPECS["dare-ties"],
+    "dare-linear": MERGE_SPECS["dare-linear"],
+}
+GOLDEN_DENSE = {
+    "ties-0.3": "bb08f61d7813cc628e2914ac63dbd629196b0938708dc8c84a946fb7f5b15c2a",
+    "ties-1.0": "3cd1a92b56ee102a34dd6bdfc874b730d664030dd496671311b670f0fc0827b8",
+    "dare-ties": "02ccf4e2d3dd5297a95f32cf7cb4245a1b88e68b20d326234a31ee536f7256f8",
+    "dare-linear": "039d025d0ea67aa491abe57c4c62dc4aef84d74965702393566aa5a0d22e73fa",
+}
+GOLDEN_REGISTRY_DARE_TIES = \
+    "f52d2700bf73bafb61032243b9ae7e8f6a78896a5ecaf80fdfa35d7648d92ce2"
+GOLDEN_INTERFERENCE = \
+    "3da82b820263a1fb2f9cf6d5b81bdd8b250660245789cf0504ad6ac99075dd1a"
+
+
+@pytest.mark.parametrize("label", sorted(DENSE_SPECS))
+def test_merged_dense_float64_bytes(shards, label):
+    _, adapters, _ = shards
+    inputs = [adapters[2], adapters[0], adapters[1]]
+    dense = merge.merge(inputs, DENSE_SPECS[label]) \
+        .densify(multimem.TARGET_ID).data
+    digest = hashlib.sha256(dense.astype("<f8").tobytes()).hexdigest()
+    assert digest == GOLDEN_DENSE[label]
+
+
+def test_registry_dare_ties_digest(shards):
+    dataset, _, paths = shards
+    registry = AdapterRegistry()
+    for path in paths:
+        registry.register(path)
+    vector = dataset.keys.data[0].tolist()
+    reply = registry.query(vector, 3, {"method": "dare-ties", "density": 0.5,
+                                       "drop_rate": 0.3, "seed": 5})
+    assert reply["em_logits_digest"] == GOLDEN_REGISTRY_DARE_TIES
+
+
+def test_multi_interference_report(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lab", "gen", "--pairs", "120", "--seed", "9", "--budget",
+                 "700", "--out", "pb.txt"]) == 0
+    assert main(["multi", "interference", "--data", "pb.txt", "--shards", "4",
+                 "--n-range", "1,2,3,4", "--rank", "8", "--steps", "300",
+                 "--merge", "ties", "--density", "0.3", "--seed", "4",
+                 "--report", "report.json"]) == 0
+    capsys.readouterr()
+    assert sha256_of("report.json") == GOLDEN_INTERFERENCE
