@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -90,7 +92,11 @@ class LowRankPair:
 
 def delta(pair: LowRankPair) -> Matrix:
     """Densify a pair: (alpha / rank) * b @ a, shape (d_out, d_in)."""
-    return matcore.scale(matcore.matmul(pair.b, pair.a), pair.alpha / pair.rank)
+    # overflow surfaces as NonFiniteError from the constructor, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = pair.b.data @ pair.a.data
+        dense *= pair.alpha / pair.rank
+    return Matrix(dense)
 
 
 @dataclass
@@ -213,6 +219,53 @@ def save(adapter: Adapter, path) -> None:
                 metadata=adapter.metadata)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(header, path) -> None:
+    """Raise FormatError unless the header follows the container schema,
+    so readers can index every record field without further checks."""
+    def fail(problem: str) -> NoReturn:
+        raise FormatError(f"{path}: {problem}")
+
+    if not isinstance(header, dict) or \
+            not {"name", "metadata", "targets"} <= header.keys():
+        fail("header must be a JSON object with name, metadata and targets")
+    metadata, targets = header["metadata"], header["targets"]
+    if not isinstance(header["name"], str):
+        fail("name must be a string")
+    if not isinstance(metadata, dict) or \
+            not all(isinstance(v, str) for v in metadata.values()):
+        fail("metadata must be an object of strings")
+    if header.get("payload_bytes") is not None and \
+            not _is_count(header["payload_bytes"]):
+        fail("payload_bytes must be a non-negative integer")
+    if not isinstance(targets, list) or \
+            not all(isinstance(rec, dict) for rec in targets):
+        fail("targets must be a list of objects")
+    seen = set()
+    for n, rec in enumerate(targets):
+        tid = rec.get("id")
+        if not isinstance(tid, str):
+            fail(f"target {n}: id must be a string")
+        if tid in seen:
+            fail(f"duplicate target id {tid!r}")
+        seen.add(tid)
+        if rec.get("kind", "dense") != "dense":
+            fail(f"target {tid!r}: unknown kind {rec['kind']!r}")
+        dense = "kind" in rec
+        for key in ("d_out", "d_in", "w_offset") if dense else \
+                ("d_out", "d_in", "rank", "a_offset", "b_offset"):
+            if not _is_count(rec.get(key)):
+                fail(f"target {tid!r}: {key} must be a non-negative integer")
+        alpha = rec.get("alpha")
+        if not dense and (rec["rank"] < 1 or isinstance(alpha, bool)
+                          or not isinstance(alpha, (int, float))
+                          or not 0.0 < alpha <= sys.float_info.max):
+            fail(f"target {tid!r}: needs rank >= 1 and a finite alpha > 0")
+
+
 def _parse_preamble(blob: bytes, path) -> tuple[dict, bytes]:
     if len(blob) < _PREAMBLE.size:
         raise TruncatedPayloadError(f"{path}: file shorter than fixed preamble")
@@ -232,11 +285,7 @@ def _parse_preamble(blob: bytes, path) -> tuple[dict, bytes]:
         header = json.loads(blob[_PREAMBLE.size:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header JSON: {exc}") from exc
-    if not isinstance(header, dict) or \
-            not {"name", "metadata", "targets"} <= header.keys():
-        raise FormatError(
-            f"{path}: header must be a JSON object with name, metadata "
-            "and targets")
+    _check_header(header, path)
     payload = blob[header_end:]
     declared = header.get("payload_bytes")
     if declared is not None:

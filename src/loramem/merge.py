@@ -131,9 +131,8 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
     for tid in target_ids:
         deltas = [adapterio.delta(ad.targets[tid]).data for ad in adapters]
         if drop_rate:
-            deltas = [np.where(rng.bernoulli(d.size, 1.0 - drop_rate)
-                               .reshape(d.shape), d * rescale, 0.0)
-                      for rng, d in zip(rngs, deltas)]
+            deltas = [d * rescale * rng.bernoulli(d.size, 1.0 - drop_rate)
+                      .reshape(d.shape) for rng, d in zip(rngs, deltas)]
         out[tid] = Matrix(combine(deltas, w))
     return MergedDelta(out)
 
@@ -164,35 +163,36 @@ def merge_cat(adapters: list[Adapter]) -> MergedDelta:
     return MergedDelta(out)
 
 
-def _trim(dense: np.ndarray, density: float) -> np.ndarray:
-    """Keep the top ceil(density * n) entries by |value|, zero the rest.
-
-    Magnitude ties at the cutoff are broken by row-major position (earlier
-    entries kept), so trimming is deterministic.
-    """
-    n = dense.size
-    keep = math.ceil(density * n)
-    if keep >= n:
-        return dense.copy()
-    flat = np.abs(dense.ravel())
-    order = np.argsort(-flat, kind="stable")
-    mask = np.zeros(n, dtype=bool)
-    mask[order[:keep]] = True
-    return np.where(mask.reshape(dense.shape), dense, 0.0)
+def _trim_mask(dense: np.ndarray, density: float) -> np.ndarray:
+    """Mask of the ceil(density * n) entries of largest |value|; at the
+    cutoff magnitude, earlier row-major entries win, as in a stable sort.
+    A selection finds the cutoff, entries above it are kept, and the first
+    entries equal to it fill the remaining places."""
+    flat = np.abs(dense).ravel()
+    keep = math.ceil(density * flat.size)
+    if keep >= flat.size:
+        return np.ones(dense.shape, dtype=bool)
+    cutoff = np.partition(flat, flat.size - keep)[flat.size - keep]
+    mask = flat > cutoff
+    ties = np.flatnonzero(flat == cutoff)
+    mask[ties[:keep - np.count_nonzero(mask)]] = True
+    return mask.reshape(dense.shape)
 
 
 def _ties_combine(deltas: list[np.ndarray], w: np.ndarray,
                   density: float) -> np.ndarray:
     """Trim, elect the dominant sign, then renormalized mean of agreeing
-    survivors."""
-    trimmed = [_trim(d, density) for d in deltas]
-    elected = np.sign(_weighted_sum(trimmed, w))
-    num = np.zeros_like(elected)
-    den = np.zeros_like(elected)
-    for wi, ti in zip(w, trimmed):
-        agree = (np.sign(ti) == elected) & (ti != 0.0)
-        num += np.where(agree, wi * ti, 0.0)
-        den += np.where(agree, wi, 0.0)
+    survivors. Dropped negative entries become -0.0, which no output byte
+    shows: sums from +0.0 never end at -0.0, and the divide writes +0.0.
+    Agreement reads each delta's own sign: w * delta can underflow."""
+    masks = [_trim_mask(d, density) for d in deltas]
+    products = [wi * (d * m) for wi, d, m in zip(w, deltas, masks)]
+    elected = np.sign(sum(products))
+    num, den = np.zeros_like(elected), np.zeros_like(elected)
+    for wi, d, m, pi in zip(w, deltas, masks, products):
+        agree = m & (np.sign(d) == elected) & (d != 0.0)
+        num += pi * agree
+        den += wi * agree
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
 

@@ -414,7 +414,12 @@ class _Handler(socketserver.StreamRequestHandler):
         op = request.get("op")
         try:
             if op == "register":
-                count = registry.register(request["path"])
+                path = request["path"]
+                # open() takes an integer as a file descriptor
+                if not isinstance(path, str):
+                    return {"error": {"code": "bad_request",
+                                      "message": "path must be a string"}}
+                count = registry.register(path)
                 return {"ok": True, "adapters": count}
             if op == "query":
                 merge_blob = request.get("merge")

@@ -212,6 +212,55 @@ def test_header_must_be_object_with_required_keys(tmp_path, header):
         adapterio.inspect_header(path)
 
 
+def _target(h):
+    return h["targets"][0]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.update(targets=[{"id": "t"}]),
+    lambda h: h.update(targets=5),
+    lambda h: h.update(targets=[5]),
+    lambda h: h.update(metadata=5),
+    lambda h: h.update(metadata={"seed": 1}),
+    lambda h: h.update(name=5),
+    lambda h: h.update(payload_bytes="0"),
+    lambda h: _target(h).pop("id"),
+    lambda h: _target(h).update(id=7),
+    lambda h: _target(h).pop("a_offset"),
+    lambda h: _target(h).update(d_in=-1),
+    lambda h: _target(h).update(d_out="3"),
+    lambda h: _target(h).update(rank=1.5),
+    lambda h: _target(h).update(rank=True),
+    lambda h: _target(h).update(rank=0),
+    lambda h: _target(h).update(alpha="1"),
+    lambda h: _target(h).update(alpha=-1.0),
+    lambda h: _target(h).update(alpha=float("nan")),
+    lambda h: _target(h).update(kind="sparse"),
+    lambda h: _target(h).update(kind="dense"),
+    lambda h: h["targets"].append(dict(_target(h))),
+], ids=["target-without-fields", "targets-int", "target-int",
+        "metadata-int", "metadata-value-int", "name-int",
+        "payload-bytes-str", "id-missing", "id-int", "offset-missing",
+        "negative-dim", "dim-str", "rank-float", "rank-bool", "rank-zero",
+        "alpha-str", "alpha-negative", "alpha-nan", "unknown-kind",
+        "dense-without-offset", "duplicate-id"])
+def test_malformed_header_fields_raise_format_error(tmp_path, mutate):
+    path = tmp_path / "m.lmem"
+    save(rand_adapter(4, n_targets=2), path)
+    blob = path.read_bytes()
+    header = adapterio.inspect_header(path)
+    header.pop("format_version")
+    mutate(header)
+    raw = json.dumps(header).encode("utf-8")
+    header_len = struct.unpack_from("<Q", blob, 8)[0]
+    path.write_bytes(struct.pack("<4sIQ", b"LMEM", 1, len(raw)) + raw
+                     + blob[16 + header_len:])
+    for reader in (load, adapterio.inspect_header):
+        with pytest.raises(adapterio.FormatError) as info:
+            reader(path)
+        assert info.type is adapterio.FormatError
+
+
 def test_header_payload_length_disagreement(tmp_path):
     path = tmp_path / "d.lmem"
     save(rand_adapter(9), path)

@@ -228,6 +228,109 @@ def test_ties_exhaustive_two_adapter_reference():
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+# --- exactness against a sort-and-select oracle -----------------------------
+
+
+def select_trim(dense, density):
+    """Reference trim: the first ceil(density * n) positions of a stable
+    descending argsort of |value|, applied with a select."""
+    keep = math.ceil(density * dense.size)
+    order = np.argsort(-np.abs(dense.ravel()), kind="stable")
+    mask = np.zeros(dense.size, dtype=bool)
+    mask[order[:keep]] = True
+    mask = mask.reshape(dense.shape)
+    return mask, np.where(mask, dense, 0.0)
+
+
+def select_ties(deltas, w, density):
+    """Reference TIES with selects, accumulated in the same order."""
+    trimmed = [select_trim(d, density)[1] for d in deltas]
+    total = np.zeros_like(trimmed[0])
+    for wi, ti in zip(w, trimmed):
+        total += wi * ti
+    elected = np.sign(total)
+    num = np.zeros_like(elected)
+    den = np.zeros_like(elected)
+    for wi, ti in zip(w, trimmed):
+        agree = (np.sign(ti) == elected) & (ti != 0.0)
+        num += np.where(agree, wi * ti, 0.0)
+        den += np.where(agree, wi, 0.0)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+def edge_values(seed, kind, shape):
+    """Seeded values with heavy magnitude ties, sign-only entries, an
+    all-zero block, entries near 1e-200 (products of three underflow), or
+    plain Gaussians."""
+    x = Rng(seed).gaussian(shape[0] * shape[1]).reshape(shape)
+    return {"ties": np.round(x, 1), "signs": np.sign(x),
+            "zeros": np.zeros(shape), "tiny": x * 1e-200, "gauss": x}[kind]
+
+
+def dense_adapter(name, dense) -> Adapter:
+    rows = dense.shape[0]
+    pair = LowRankPair(a=Matrix(dense), b=Matrix(np.eye(rows)),
+                       alpha=float(rows), rank=rows)
+    return Adapter(name=name, targets={"t0": pair})
+
+
+EDGE_KINDS = ("ties", "signs", "zeros", "tiny", "gauss")
+EDGE_SHAPES = ((1, 1), (7, 13), (12, 40))
+EDGE_DENSITIES = (0.01, 0.05, 0.3, 0.5, 0.77, 1.0)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+def test_trim_mask_matches_stable_argsort(kind, shape):
+    for seed in range(4):
+        dense = edge_values(seed, kind, shape)
+        for density in EDGE_DENSITIES:
+            want, _ = select_trim(dense, density)
+            np.testing.assert_array_equal(
+                merge_mod._trim_mask(dense, density), want)
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("kinds", [
+    ("ties", "ties", "ties"), ("signs", "signs", "signs"),
+    ("tiny", "tiny", "tiny"), ("zeros", "zeros", "gauss"),
+    ("tiny", "gauss", "zeros"), ("ties", "signs", "zeros"),
+])
+def test_ties_bytes_match_select_oracle(kinds, shape):
+    # weights include a zero weight; adapters given out of name order
+    values = [edge_values(10 + i, kind, shape) for i, kind in enumerate(kinds)]
+    ads = [dense_adapter(name, v) for name, v in zip("cab", values)]
+    deltas = [delta(ad.targets["t0"]).data for ad in sorted(ads, key=lambda a: a.name)]
+    for weights in ([1 / 3] * 3, [0.5, 0.3, 0.2], [0.0, 0.5, 0.5]):
+        w = np.array(weights)[[1, 2, 0]]  # weights of a, b, c
+        for density in EDGE_DENSITIES:
+            got = dense_of(merge_ties(ads, weights, density))
+            assert got.tobytes() == select_ties(deltas, w, density).tobytes()
+
+
+@pytest.mark.parametrize("method", [MergeMethod.DARE_LINEAR,
+                                    MergeMethod.DARE_TIES])
+def test_dare_bytes_match_select_oracle(method):
+    values = [edge_values(20 + i, kind, (7, 13))
+              for i, kind in enumerate(("ties", "tiny", "gauss"))]
+    ads = [dense_adapter(name, v) for name, v in zip("abc", values)]
+    spec = MergeSpec(method=method, weights=(0.0, 0.6, 0.4), density=0.3,
+                     drop_rate=0.4, seed=3)
+    dropped = []
+    for ad in ads:
+        d = delta(ad.targets["t0"]).data
+        keep = Rng(3).derive("dare-mask", ad.name).bernoulli(d.size, 0.6)
+        dropped.append(np.where(keep.reshape(d.shape), d * (1 / 0.6), 0.0))
+    w = np.array(spec.weights)
+    if method == MergeMethod.DARE_TIES:
+        want = select_ties(dropped, w, 0.3)
+    else:
+        want = np.zeros_like(dropped[0])
+        for wi, di in zip(w, dropped):
+            want += wi * di
+    assert dense_of(merge(ads, spec)).tobytes() == want.tobytes()
+
+
 # --- dare -------------------------------------------------------------------
 
 

@@ -238,6 +238,26 @@ def test_register_non_object_header_keeps_connection_open(server, tmp_path):
         assert json.loads(fh.readline())["ok"]
 
 
+def test_register_non_string_path_is_bad_request(assets):
+    # an integer path would reach open() as a file descriptor; the
+    # listening socket's own descriptor is the one that used to get closed
+    srv, _ = serve_in_thread(ServeConfig(port=0))
+    try:
+        request = {"op": "register", "path": srv.fileno()}
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as conn:
+            fh = conn.makefile("r", encoding="utf-8")
+            conn.sendall((json.dumps(request) + "\n").encode())
+            assert json.loads(fh.readline())["error"]["code"] == "bad_request"
+            conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+            assert json.loads(fh.readline())["ok"]
+        assert request_line("127.0.0.1", srv.port, {"op": "stats"},
+                            timeout=5)["ok"]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
 def test_unknown_module_id_is_error_reply(server):
     srv, (dataset, paths, single_path, cfg) = server
     reply = request_line("127.0.0.1", srv.port, {
