@@ -12,6 +12,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loramem import adapterio, memlab, merge, multimem
@@ -173,3 +174,78 @@ def test_multi_interference_report(monkeypatch, tmp_path, capsys):
                  "--report", "report.json"]) == 0
     capsys.readouterr()
     assert sha256_of("report.json") == GOLDEN_INTERFERENCE
+
+
+# Training pinned in float64: every shard's factors and per-step losses, for
+# equal shards, unequal full-batch shards and unequal mini-batch shards, so a
+# change to how shards are batched together cannot move a single bit.
+SHARD_TRAINING = {
+    "equal-full-batch": (120, 700, 8, TrainConfig(rank=8, alpha=8.0,
+                                                  steps=300, seed=4)),
+    "unequal-full-batch": (200, 1800, 64, TrainConfig(rank=8, alpha=8.0,
+                                                      steps=75, seed=6)),
+    "unequal-mini-batch": (120, 770, 4, TrainConfig(rank=4, alpha=4.0,
+                                                    steps=200, seed=2)),
+}
+GOLDEN_SHARD_TRAINING = {
+    "equal-full-batch":
+        "c0bec10f8ca3187a1724320f4f80ef77bbfe64d64623246812953d40106d93f7",
+    "unequal-full-batch":
+        "10c99c5b5c4d4d3fe12f15c2128713bcb8c18aa99acb2d490a63c163ce538374",
+    "unequal-mini-batch":
+        "58f258f8f2d0586aa5cab13d1722896f19136fc8bc388c0707e6d755e1846eda",
+}
+GOLDEN_TRAIN_RANK32 = \
+    "dac7a97cc5fec418c0d8d51a42c9e8127b1b80c662d4a1a900549cb7ae53104e"
+GOLDEN_LAB_TRAIN = {
+    "report": "e5d07875fa41ffb32ff59aac954ece5599134102a54208dcebf5aa378d06c79a",
+    "adapter": "d54810360bbbe4bd2150ecc46c3170f92e2e3d822220da2829f053b6dc94a52b",
+}
+
+
+def _training_digest(hasher, pair, losses) -> None:
+    hasher.update(pair.a.data.astype("<f8").tobytes())
+    hasher.update(pair.b.data.astype("<f8").tobytes())
+    hasher.update(np.asarray(losses, dtype="<f8").tobytes())
+
+
+@pytest.mark.parametrize("label", sorted(SHARD_TRAINING))
+def test_shard_training_float64_bytes(label):
+    pairs, budget, shard_count, config = SHARD_TRAINING[label]
+    dataset = memlab.slice_by_budget(memlab.gen_phonebook(pairs, seed=9),
+                                     budget)
+    plan = multimem.partition(dataset, shard_count)
+    adapters = multimem.train_shards(dataset, plan, config)
+    # Adapters do not keep their per-step losses, so those come from
+    # training each shard on its own, which must also give the same factors.
+    hasher = hashlib.sha256()
+    for adapter, shard_ds in zip(adapters,
+                                 multimem.shard_datasets(dataset, plan),
+                                 strict=True):
+        alone = memlab.train(shard_ds, config)
+        pair = adapter.targets[multimem.TARGET_ID]
+        assert pair.a == alone.pair.a and pair.b == alone.pair.b
+        _training_digest(hasher, pair, alone.losses)
+    assert hasher.hexdigest() == GOLDEN_SHARD_TRAINING[label]
+
+
+def test_mini_batch_train_rank32_float64_bytes():
+    dataset = memlab.slice_by_budget(memlab.gen_phonebook(700, seed=13), 6200)
+    result = memlab.train(dataset, TrainConfig(rank=32, alpha=32.0,
+                                               steps=600, seed=8))
+    hasher = hashlib.sha256()
+    _training_digest(hasher, result.pair, result.losses)
+    assert hasher.hexdigest() == GOLDEN_TRAIN_RANK32
+
+
+def test_lab_train_report(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["lab", "gen", "--pairs", "120", "--seed", "9", "--budget",
+                 "700", "--out", "pb.txt"]) == 0
+    capsys.readouterr()
+    assert main(["lab", "train", "--data", "pb.txt", "--rank", "4",
+                 "--steps", "300", "--seed", "3", "--out", "mem.lmem"]) == 0
+    report = capsys.readouterr().out
+    got = {"report": hashlib.sha256(report.encode("utf-8")).hexdigest(),
+           "adapter": sha256_of("mem.lmem")}
+    assert got == GOLDEN_LAB_TRAIN
