@@ -14,6 +14,7 @@ monotone token count, so subword tokenization is deliberately out of scope.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -73,11 +74,14 @@ class KeyCollisionError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; .step is the offending step index."""
+    """Loss became non-finite; .step is the offending step index and .index
+    the dataset's position in a stacked run (0 for a single dataset)."""
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int, message: str | None = None,
+                 index: int = 0):
         super().__init__(message or f"non-finite loss at step {step}")
         self.step = step
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -226,6 +230,10 @@ class TrainConfig:
     init_stddev: float = 0.02
 
     def __post_init__(self):
+        for name in ("alpha", "learning_rate", "init_stddev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rank < 1 or self.steps < 1 or self.batch_size < 1:
             raise ValueError("rank, steps and batch_size must be positive")
         if self.alpha <= 0 or self.learning_rate < 0 or self.init_stddev < 0:
@@ -269,42 +277,57 @@ def frozen_base(seed: int, d_in: int = D_IN_DEFAULT) -> Matrix:
                                  BASE_STDDEV)
 
 
+# Offset of each digit position's 10-way block within a row of logits.
+_POSITION_OFFSETS = np.arange(N_POSITIONS) * 10
+
+
 def _forward_grads(base_logits: np.ndarray, keys: np.ndarray,
-                   labels: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   picks: np.ndarray, a: np.ndarray, b: np.ndarray,
                    s: float):
     """Loss (sum over records) and exact grads wrt a and b.
 
-    Loss per record is the sum over the 10 digit positions of the softmax
-    cross-entropy on that position's 10-way block.
+    Takes one problem, shaped (m, ·), or a stack of S problems of equal
+    shape, shaped (S, m, ·); a stacked loss is one sum per slice, and each
+    slice's bytes equal those of the problem alone. picks holds the flat
+    index into the (…, m, D_OUT) logits of each record's label logit at
+    each position (see _label_picks). Loss per record is the sum over the
+    10 digit positions of the softmax cross-entropy on that position's
+    10-way block.
     """
-    m = keys.shape[0]
     # overflow here means the run is diverging; the caller detects that via
     # the finite check on the loss, so silence numpy's warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        p = keys @ a.T                       # m x r
-        z = base_logits + s * (p @ b.T)      # m x 100
-        blocks = z.reshape(m, N_POSITIONS, 10)
-        shifted = blocks - blocks.max(axis=2, keepdims=True)
-        exp = np.exp(shifted)
-        logsumexp = np.log(exp.sum(axis=2)) + blocks.max(axis=2)
-        picked = np.take_along_axis(blocks, labels[:, :, None], axis=2)[:, :, 0]
-        loss = float((logsumexp - picked).sum())
-        soft = exp / exp.sum(axis=2, keepdims=True)
-        np.put_along_axis(
-            soft, labels[:, :, None],
-            np.take_along_axis(soft, labels[:, :, None], axis=2) - 1.0, axis=2)
-        g = soft.reshape(m, D_OUT)
-        grad_b = s * (g.T @ p)               # 100 x r
-        grad_a = s * ((g @ b).T @ keys)      # r x d_in
+        p = keys @ a.swapaxes(-1, -2)                    # (…, m, r)
+        z = base_logits + s * (p @ b.swapaxes(-1, -2))   # (…, m, 100)
+        blocks = z.reshape(*z.shape[:-1], N_POSITIONS, 10)
+        top = blocks.max(axis=-1, keepdims=True)
+        exp = np.exp(blocks - top)
+        total = exp.sum(axis=-1, keepdims=True)
+        nll = (np.log(total) + top)[..., 0] - np.take(z, picks)
+        loss = nll.sum(axis=(-2, -1))
+        soft = exp / total
+        soft.reshape(-1)[picks] -= 1.0
+        g = soft.reshape(z.shape)
+        grad_b = s * (g.swapaxes(-1, -2) @ p)             # (…, 100, r)
+        grad_a = s * ((g @ b).swapaxes(-1, -2) @ keys)    # (…, r, d_in)
     return loss, grad_a, grad_b
+
+
+def _label_picks(labels: np.ndarray) -> np.ndarray:
+    """Flat indices of the label logits for labels shaped (…, m, 10):
+    row offset + 10·position + label."""
+    rows = np.arange(labels.size // N_POSITIONS) * D_OUT
+    return rows.reshape(*labels.shape[:-1], 1) + _POSITION_OFFSETS + labels
 
 
 def loss_and_grads(w0: Matrix, pair: LowRankPair, dataset: KvDataset):
     """Full-dataset loss (sum over records) and gradients, as arrays."""
     keys = dataset.keys.data
     base_logits = keys @ w0.data.T
-    return _forward_grads(base_logits, keys, dataset.labels,
-                          pair.a.data, pair.b.data, pair.alpha / pair.rank)
+    loss, grad_a, grad_b = _forward_grads(
+        base_logits, keys, _label_picks(dataset.labels), pair.a.data,
+        pair.b.data, pair.alpha / pair.rank)
+    return float(loss), grad_a, grad_b
 
 
 @dataclass
@@ -322,39 +345,73 @@ def train(dataset: KvDataset, config: TrainConfig) -> TrainResult:
     Per-step losses are the batch mean per-record loss, measured before the
     update. Fully deterministic per (seed, config, dataset).
     """
-    n = len(dataset)
+    return train_stacked([dataset], config)[0]
+
+
+def train_stacked(datasets: list[KvDataset],
+                  config: TrainConfig) -> list[TrainResult]:
+    """Train one pair per dataset under one config, as a single stacked
+    problem; every result is byte-identical to train(dataset, config).
+
+    The datasets must have the same length and d_in. They share the frozen
+    base, the factor init and, in mini-batch mode, the batch drawn at each
+    step, since all of these depend only on the seed and the length. A
+    slice whose loss turns non-finite stops counting but cannot touch the
+    others; after the last step, TrainingDiverged names the lowest-index
+    diverged dataset (as .index) and its first non-finite step.
+    """
+    if not datasets:
+        raise ValueError("no datasets to train")
+    n, d_in = len(datasets[0]), datasets[0].d_in
+    if any(len(ds) != n or ds.d_in != d_in for ds in datasets):
+        raise ValueError("stacked datasets must share length and d_in")
     if n == 0:
         raise ValueError("cannot train on an empty dataset")
-    d_in = dataset.d_in
+    count = len(datasets)
     w0 = frozen_base(config.seed, d_in)
-    a = (Rng(config.seed).derive("init").gaussian(config.rank * d_in)
-         .reshape(config.rank, d_in) * config.init_stddev)
-    b = np.zeros((D_OUT, config.rank))
+    a0 = (Rng(config.seed).derive("init").gaussian(config.rank * d_in)
+          .reshape(config.rank, d_in) * config.init_stddev)
+    a = np.repeat(a0[None], count, axis=0)
+    b = np.zeros((count, D_OUT, config.rank))
     s = config.alpha / config.rank
-    keys = dataset.keys.data
-    labels = dataset.labels
-    base_logits = keys @ w0.data.T
+    keys = np.stack([ds.keys.data for ds in datasets])
+    base_logits = np.stack([k @ w0.data.T for k in keys])
+    label_cols = np.stack([ds.labels for ds in datasets]) + _POSITION_OFFSETS
     batch_rng = Rng(config.seed).derive("batches")
     full_batch = config.batch_size >= n
-    losses: list[float] = []
-    for step in range(config.steps):
-        if full_batch:
-            idx = slice(None)
-            m = n
-        else:
-            idx = batch_rng.permutation(n)[:config.batch_size]
-            m = config.batch_size
-        loss, grad_a, grad_b = _forward_grads(
-            base_logits[idx], keys[idx], labels[idx], a, b, s)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(step)
-        losses.append(loss / m)
-        a -= (config.learning_rate / m) * grad_a
-        b -= (config.learning_rate / m) * grad_b
-    pair = LowRankPair(a=Matrix(a), b=Matrix(b), alpha=config.alpha,
-                       rank=config.rank)
-    return TrainResult(pair=pair, losses=losses,
-                       model=MemoryModel(w0=w0, pair=pair, d_in=d_in))
+    m = n if full_batch else config.batch_size
+    row_offsets = (np.arange(count * m) * D_OUT).reshape(count, m, 1)
+    picks = label_cols + row_offsets if full_batch else None
+    losses = np.empty((config.steps, count))
+    diverged_at = np.full(count, -1)
+    # a diverged slice keeps stepping on non-finite values, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(config.steps):
+            if full_batch:
+                loss, grad_a, grad_b = _forward_grads(
+                    base_logits, keys, picks, a, b, s)
+            else:
+                idx = batch_rng.permutation(n)[:m]
+                loss, grad_a, grad_b = _forward_grads(
+                    base_logits[:, idx], keys[:, idx],
+                    label_cols[:, idx] + row_offsets, a, b, s)
+            finite = np.isfinite(loss)
+            if not finite.all():
+                diverged_at[~finite & (diverged_at < 0)] = step
+            losses[step] = loss / m
+            a -= (config.learning_rate / m) * grad_a
+            b -= (config.learning_rate / m) * grad_b
+    bad = np.flatnonzero(diverged_at >= 0)
+    if bad.size:
+        raise TrainingDiverged(int(diverged_at[bad[0]]), index=int(bad[0]))
+    results = []
+    for i in range(count):
+        pair = LowRankPair(a=Matrix(a[i]), b=Matrix(b[i]),
+                           alpha=config.alpha, rank=config.rank)
+        results.append(TrainResult(
+            pair=pair, losses=losses[:, i].tolist(),
+            model=MemoryModel(w0=w0, pair=pair, d_in=d_in)))
+    return results
 
 
 def _decode(logits: np.ndarray):

@@ -84,17 +84,32 @@ def memory_adapter(name: str, pair: LowRankPair, dataset: KvDataset,
 
 def train_shards(dataset: KvDataset, plan: ShardPlan,
                  config: TrainConfig) -> list[Adapter]:
-    """One adapter per shard via the memory lab trainer."""
-    adapters = []
-    for shard, shard_ds in enumerate(shard_datasets(dataset, plan)):
+    """One adapter per shard via the memory lab trainer.
+
+    Shards of equal record count train as one stack, in shard order; the
+    bytes equal those of training each shard alone. If shards diverge, the
+    error names the lowest-index one, as a shard-by-shard loop would.
+    """
+    datasets = shard_datasets(dataset, plan)
+    by_size: dict[int, list[int]] = {}
+    for shard, shard_ds in enumerate(datasets):
+        by_size.setdefault(len(shard_ds), []).append(shard)
+    results = {}
+    failures = []
+    for shards in by_size.values():
         try:
-            result = memlab.train(shard_ds, config)
+            stacked = memlab.train_stacked([datasets[i] for i in shards],
+                                           config)
         except memlab.TrainingDiverged as exc:
-            raise ShardError(
-                f"shard {shard} diverged at step {exc.step}") from exc
-        adapters.append(memory_adapter(_shard_name(shard), result.pair,
-                                       shard_ds, config))
-    return adapters
+            failures.append((shards[exc.index], exc))
+            continue
+        results.update(zip(shards, stacked))
+    if failures:
+        shard, exc = min(failures, key=lambda f: f[0])
+        raise ShardError(f"shard {shard} diverged at step {exc.step}") from exc
+    return [memory_adapter(_shard_name(shard), results[shard].pair,
+                           shard_ds, config)
+            for shard, shard_ds in enumerate(datasets)]
 
 
 def build_shard_index(dataset: KvDataset, plan: ShardPlan) -> EmbeddingIndex:

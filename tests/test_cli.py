@@ -125,6 +125,33 @@ def test_sweep_grid_typo_is_runtime_error(capsys, tmp_path):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--alpha", "--learning-rate",
+                                  "--init-stddev"])
+def test_lab_train_non_finite_scalar_is_config_error(workdir, capsys,
+                                                     tmp_path, flag, value):
+    code, _, err = run_cli(capsys, "lab", "train", "--data",
+                           str(workdir / "pb.txt"), f"{flag}={value}",
+                           "--out", str(tmp_path / "x.lmem"))
+    assert code == 1
+    field = flag[2:].replace("-", "_")
+    assert err.startswith(f"loramem: error[runtime]: {field} must be finite")
+    assert not (tmp_path / "x.lmem").exists()
+
+
+def test_sweep_grid_non_finite_base_is_config_error(capsys, tmp_path):
+    grid = tmp_path / "grid.json"
+    grid.write_text('{"ranks": [2], "loads": [16], "seeds": [1], '
+                    '"base": {"learning_rate": NaN}}')
+    code, _, err = run_cli(capsys, "sweep", "--grid", str(grid),
+                           "--out", str(tmp_path / "r.csv"),
+                           "--efficiency-out", str(tmp_path / "e.csv"))
+    assert code == 1
+    assert err.startswith("loramem: error[runtime]: learning_rate must be "
+                          "finite")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_sweep_reports_byte_identical_across_runs(capsys, tmp_path,
                                                   monkeypatch):
     # identical argv (relative paths), two working directories
