@@ -356,7 +356,7 @@ def train_stacked(datasets: list[KvDataset],
     The datasets must have the same length and d_in. They share the frozen
     base, the factor init and, in mini-batch mode, the batch drawn at each
     step, since all of these depend only on the seed and the length. A
-    slice whose loss turns non-finite stops counting but cannot touch the
+    slice whose loss turns non-finite keeps stepping without touching the
     others; after the last step, TrainingDiverged names the lowest-index
     diverged dataset (as .index) and its first non-finite step.
     """
@@ -376,25 +376,23 @@ def train_stacked(datasets: list[KvDataset],
     s = config.alpha / config.rank
     keys = np.stack([ds.keys.data for ds in datasets])
     base_logits = np.stack([k @ w0.data.T for k in keys])
+    # the flat label index of _label_picks, less the row offset, which
+    # depends on the batch
     label_cols = np.stack([ds.labels for ds in datasets]) + _POSITION_OFFSETS
     batch_rng = Rng(config.seed).derive("batches")
     full_batch = config.batch_size >= n
     m = n if full_batch else config.batch_size
     row_offsets = (np.arange(count * m) * D_OUT).reshape(count, m, 1)
-    picks = label_cols + row_offsets if full_batch else None
     losses = np.empty((config.steps, count))
     diverged_at = np.full(count, -1)
-    # a diverged slice keeps stepping on non-finite values, silently
+    # a diverged slice keeps stepping on non-finite values; silence numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(config.steps):
-            if full_batch:
-                loss, grad_a, grad_b = _forward_grads(
-                    base_logits, keys, picks, a, b, s)
-            else:
-                idx = batch_rng.permutation(n)[:m]
-                loss, grad_a, grad_b = _forward_grads(
-                    base_logits[:, idx], keys[:, idx],
-                    label_cols[:, idx] + row_offsets, a, b, s)
+            idx = slice(None) if full_batch else \
+                batch_rng.permutation(n)[:m]
+            loss, grad_a, grad_b = _forward_grads(
+                base_logits[:, idx], keys[:, idx],
+                label_cols[:, idx] + row_offsets, a, b, s)
             finite = np.isfinite(loss)
             if not finite.all():
                 diverged_at[~finite & (diverged_at < 0)] = step
