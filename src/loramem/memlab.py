@@ -374,8 +374,12 @@ def train_stacked(datasets: list[KvDataset],
     a = np.repeat(a0[None], count, axis=0)
     b = np.zeros((count, D_OUT, config.rank))
     s = config.alpha / config.rank
-    keys = np.stack([ds.keys.data for ds in datasets])
-    base_logits = np.stack([k @ w0.data.T for k in keys])
+    # one dataset's keys are read in place; a stack of them is one copy
+    keys = datasets[0].keys.data[None] if count == 1 else \
+        np.stack([ds.keys.data for ds in datasets])
+    base_logits = np.empty((count, n, D_OUT))
+    for k, out in zip(keys, base_logits):
+        np.matmul(k, w0.data.T, out=out)
     # the flat label index of _label_picks, less the row offset, which
     # depends on the batch
     label_cols = np.stack([ds.labels for ds in datasets]) + _POSITION_OFFSETS
