@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 from pathlib import Path
 
@@ -300,16 +301,24 @@ def _cmd_serve(args) -> int:
     config = ServeConfig(host=args.host, port=args.port,
                          adapter_dir=Path(args.adapters) if args.adapters
                          else None)
+    # SIGINT may arrive inherited as ignored (a background job of a shell);
+    # SIGTERM stops the server through the same clean path.
+    signal.signal(signal.SIGINT, _interrupt)
+    signal.signal(signal.SIGTERM, _interrupt)
     server = servebench.RegistryServer(config)
-    print(f"loramem registry listening on {args.host}:{server.port}",
-          file=sys.stderr)
     try:
+        print(f"loramem registry listening on {args.host}:{server.port}",
+              file=sys.stderr)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
     return 0
+
+
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
 
 
 # --- parser -----------------------------------------------------------------

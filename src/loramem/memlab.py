@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import re
 from dataclasses import dataclass, replace
 
@@ -230,6 +231,11 @@ class TrainConfig:
     init_stddev: float = 0.02
 
     def __post_init__(self):
+        for name in ("rank", "steps", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or \
+                    not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("alpha", "learning_rate", "init_stddev"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(

@@ -17,6 +17,7 @@ TCP socket; registration preloads, queries are concurrent and read-only.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import socket
@@ -33,7 +34,7 @@ from . import adapterio, memlab, router
 from .adapterio import Adapter
 from .matcore import Matrix
 from .merge import MergeMethod, MergeSpec
-from .multimem import compose
+from .multimem import TARGET_ID, compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
 STAGE_NAMES = (
@@ -152,17 +153,27 @@ def _load_adapter(path, counts) -> Adapter:
     return adapterio.load(path)
 
 
+def _centroid_row(name: str, metadata: dict[str, str]) -> np.ndarray:
+    """One adapter's index row, shaped (1, d): the key centroid its
+    metadata carries, normalised by `router.build_index` itself."""
+    raw = metadata.get("centroid", "")
+    if not raw:
+        raise BenchError(f"adapter {name!r} has no centroid metadata")
+    centroid = np.asarray(json.loads(raw), dtype=np.float64)
+    return router.build_index(
+        [(name, Matrix(centroid.reshape(1, -1)))]).vectors.data
+
+
 def _centroid_index(entries) -> EmbeddingIndex:
-    """Cosine index over (adapter name, metadata) pairs, from the key
-    centroid each adapter carries in its metadata."""
-    rows = []
+    """Cosine index over (adapter name, metadata) pairs, one row per pair
+    in entry order."""
+    ids, rows = [], []
     for name, metadata in entries:
-        raw = metadata.get("centroid", "")
-        if not raw:
-            raise BenchError(f"adapter {name!r} has no centroid metadata")
-        centroid = np.asarray(json.loads(raw), dtype=np.float64)
-        rows.append((name, Matrix(centroid.reshape(1, -1))))
-    return router.build_index(rows)
+        if name in ids:
+            raise router.RouterError(f"duplicate module id {name!r}")
+        ids.append(name)
+        rows.append(_centroid_row(name, metadata))
+    return EmbeddingIndex(ids=tuple(ids), vectors=Matrix(np.vstack(rows)))
 
 
 def _questions(scenario: BenchScenario) -> list[int]:
@@ -290,9 +301,37 @@ class _RegistryState:
     seed: int | None
 
 
+class DuplicateAdapterError(BenchError):
+    """A register named an adapter the registry already holds."""
+
+
+def _check_geometry(adapter: Adapter, d_in: int, row: np.ndarray) -> None:
+    """Reject an adapter that no query could use: it needs a `memory`
+    target shaped (D_OUT, d_in) and a centroid of length d_in."""
+    pair = adapter.targets.get(TARGET_ID)
+    if pair is None:
+        raise BenchError(f"adapter {adapter.name!r} has no {TARGET_ID!r} "
+                         f"target")
+    if (pair.d_out, pair.d_in) != (memlab.D_OUT, d_in):
+        raise BenchError(
+            f"adapter {adapter.name!r} target {TARGET_ID!r} is "
+            f"{pair.d_out}x{pair.d_in}, expected {memlab.D_OUT}x{d_in}")
+    if row.shape[1] != d_in:
+        raise BenchError(f"adapter {adapter.name!r} centroid has length "
+                         f"{row.shape[1]}, expected d_in={d_in}")
+
+
 class AdapterRegistry:
     """Preloading registry: register swaps an immutable snapshot under a
-    lock; queries read the current snapshot without locking."""
+    lock; queries read the current snapshot without locking.
+
+    A register decodes only the new adapter's centroid, outside the lock,
+    and the next snapshot's index is the previous one with that row
+    inserted, so its cost does not grow with the number of adapters beyond
+    one copy of the index rows. Rows stay in sorted-name order: BLAS may
+    sum a row's cosine differently at another position, so the order
+    decides the last bits of every score.
+    """
 
     def __init__(self):
         self._write_lock = threading.Lock()
@@ -304,8 +343,13 @@ class AdapterRegistry:
         adapter = adapterio.load(path)
         seed = int(adapter.metadata.get("seed", "0"))
         d_in = int(adapter.metadata.get("d_in", str(memlab.D_IN_DEFAULT)))
+        row = _centroid_row(adapter.name, adapter.metadata)
+        _check_geometry(adapter, d_in, row)
         with self._write_lock:
             state = self._state
+            if adapter.name in state.adapters:
+                raise DuplicateAdapterError(
+                    f"adapter {adapter.name!r} is already registered")
             if state.d_in is not None and (d_in != state.d_in
                                            or seed != state.seed):
                 raise BenchError(
@@ -315,10 +359,13 @@ class AdapterRegistry:
                 )
             w0 = state.w0 if state.w0 is not None else \
                 memlab.frozen_base(seed, d_in).data
-            adapters = dict(state.adapters)
-            adapters[adapter.name] = adapter
-            index = _centroid_index((name, adapters[name].metadata)
-                                    for name in sorted(adapters))
+            ids, rows = ((), row[:0]) if state.index is None else \
+                (state.index.ids, state.index.vectors.data)
+            at = bisect.bisect(ids, adapter.name)
+            index = EmbeddingIndex(
+                ids=ids[:at] + (adapter.name,) + ids[at:],
+                vectors=Matrix(np.vstack([rows[:at], row, rows[at:]])))
+            adapters = {**state.adapters, adapter.name: adapter}
             self._state = _RegistryState(adapters, index, w0, d_in, seed)
             return len(adapters)
 
@@ -391,16 +438,33 @@ def _merge_spec_from(blob: dict | None) -> MergeSpec:
     )
 
 
+# Longest request line the server reads, newline included; a query of 256
+# floats takes about 6 KB.
+MAX_REQUEST_LINE = 1 << 20
+
+
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         registry: AdapterRegistry = self.server.registry
-        for raw in self.rfile:
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            reply = self._dispatch(registry, line)
+        while raw := self.rfile.readline(MAX_REQUEST_LINE):
+            if len(raw) == MAX_REQUEST_LINE and not raw.endswith(b"\n"):
+                reply = self._discard_line()
+            else:
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                reply = self._dispatch(registry, line)
             self.wfile.write((json.dumps(reply) + "\n").encode("utf-8"))
             self.wfile.flush()
+
+    def _discard_line(self) -> dict:
+        """Skip the rest of an over-long line; one error answers it."""
+        while (chunk := self.rfile.readline(MAX_REQUEST_LINE)) \
+                and not chunk.endswith(b"\n"):
+            pass
+        return {"error": {"code": "line_too_long",
+                          "message": f"request line exceeds "
+                                     f"{MAX_REQUEST_LINE} bytes"}}
 
     @staticmethod
     def _dispatch(registry: AdapterRegistry, line: str) -> dict:
@@ -437,6 +501,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 return {"ok": True, **registry.stats()}
             return {"error": {"code": "unknown_op",
                               "message": f"unknown op {op!r}"}}
+        except OverflowError as exc:
+            # int() of a JSON number too large for a float, such as 1e400
+            return {"error": {"code": "bad_request", "message": str(exc)}}
         except (KeyError, TypeError, ValueError, OSError,
                 BenchError, adapterio.FormatError) as exc:
             return {"error": {"code": type(exc).__name__, "message": str(exc)}}

@@ -1,7 +1,13 @@
 import json
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import loramem
 from loramem import adapterio
 from loramem.cli import main
 
@@ -123,6 +129,48 @@ def test_sweep_grid_typo_is_runtime_error(capsys, tmp_path):
     assert code == 1
     assert err.startswith("loramem: error[runtime]:") and "rank" in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("grid_blob, field", [
+    ({"ranks": [2.5]}, "rank"),
+    ({"ranks": [True]}, "rank"),
+    ({"base": {"steps": 2.5}}, "steps"),
+    ({"base": {"batch_size": 8.0}}, "batch_size"),
+])
+def test_sweep_non_integer_size_is_config_error(capsys, tmp_path, grid_blob,
+                                                field):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"loads": [16], "seeds": [0], **grid_blob}))
+    code, _, err = run_cli(capsys, "sweep", "--grid", str(grid),
+                           "--out", str(tmp_path / "r.csv"),
+                           "--efficiency-out", str(tmp_path / "e.csv"))
+    assert code == 1
+    assert err.startswith(
+        f"loramem: error[runtime]: {field} must be an integer")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("sig, ignore_sigint", [
+    (signal.SIGINT, True),    # inherited as ignored, as in a shell's job
+    (signal.SIGTERM, False),
+])
+def test_serve_exits_cleanly_on_signal(sig, ignore_sigint):
+    src = str(Path(loramem.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loramem", "serve", "--port", "0"],
+        env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=(lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        if ignore_sigint else None)
+    try:
+        assert "listening on" in proc.stderr.readline()
+        proc.send_signal(sig)
+        assert proc.wait(timeout=10) == 0, proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -3,16 +3,21 @@ import socket
 import statistics
 import struct
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from loramem import adapterio, memlab, multimem
+from loramem import adapterio, memlab, multimem, router
+from loramem.matcore import Matrix
 from loramem.memlab import TrainConfig
 from loramem.merge import MergeMethod, MergeSpec
+from loramem.router import EmbeddingIndex
 from loramem.servebench import (
-    STAGE_NAMES, AdapterRegistry, BenchError, BenchScenario, Mode,
-    RegistryServer, ServeConfig, request_line, run_bench, serve_in_thread,
+    MAX_REQUEST_LINE, STAGE_NAMES, AdapterRegistry, BenchError, BenchScenario,
+    DuplicateAdapterError, Mode, RegistryServer, ServeConfig, request_line,
+    run_bench, serve_in_thread,
 )
 
 
@@ -303,3 +308,214 @@ def test_serve_config_autoloads_directory(assets, tmp_path):
         assert srv.registry.stats()["adapters"] == 9
     finally:
         srv.server_close()
+
+
+# --- registry write path and boundaries ---------------------------------------
+
+POOL_D_IN = 16
+POOL_SIZE = 70
+
+
+def _pool_adapter(name: str, rng: np.random.Generator, centroid,
+                  d_out: int = memlab.D_OUT, d_in: int = POOL_D_IN,
+                  target: str = "memory") -> adapterio.Adapter:
+    pair = adapterio.LowRankPair(
+        a=Matrix(rng.normal(size=(2, d_in))),
+        b=Matrix(rng.normal(size=(d_out, 2))), alpha=2.0, rank=2)
+    return adapterio.Adapter(
+        name=name, targets={target: pair},
+        metadata={"seed": "3", "d_in": str(POOL_D_IN),
+                  "centroid": json.dumps(list(centroid))})
+
+
+@pytest.fixture(scope="module")
+def pool(tmp_path_factory):
+    """70 small adapter files with shuffled names, and query vectors. Some
+    adapters share a centroid, so their cosine scores tie exactly."""
+    tmp = tmp_path_factory.mktemp("pool")
+    rng = np.random.default_rng(11)
+    centroids = rng.normal(size=(45, POOL_D_IN))
+    names = [f"ad{n:03d}" for n in rng.permutation(POOL_SIZE)]
+    paths = []
+    for i, name in enumerate(names):
+        path = tmp / f"{i:02d}.lmem"
+        adapterio.save(_pool_adapter(name, rng, centroids[i % 45]), path)
+        paths.append(path)
+    queries = np.vstack([centroids[:10], rng.normal(size=(20, POOL_D_IN))])
+    return paths, queries
+
+
+def _rebuilt_index(state) -> EmbeddingIndex:
+    """The whole index rebuilt from every adapter in sorted-name order, as
+    every register used to do."""
+    return router.build_index([
+        (name, Matrix(np.asarray(json.loads(
+            state.adapters[name].metadata["centroid"])).reshape(1, -1)))
+        for name in sorted(state.adapters)])
+
+
+_MERGES = [None, {"method": "ties", "density": 0.3},
+           {"method": "dare-ties", "drop_rate": 0.5, "seed": 4},
+           {"method": "linear"}, {"method": "cat"}]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_inserted_row_index_equals_a_full_rebuild(pool, data):
+    paths, queries = pool
+    order = data.draw(st.permutations(range(POOL_SIZE)))
+    count = data.draw(st.integers(1, POOL_SIZE))
+    registry = AdapterRegistry()
+    for n, i in enumerate(order[:count], start=1):
+        assert registry.register(paths[i]) == n
+        state = registry.snapshot()
+        rebuilt = _rebuilt_index(state)
+        # the same rows in the same order: a row's score bits depend on
+        # its position in the BLAS matrix-vector product
+        assert state.index.ids == rebuilt.ids
+        assert state.index.vectors.data.tobytes() == \
+            rebuilt.vectors.data.tobytes()
+    reference = AdapterRegistry()
+    reference._state = replace(state, index=rebuilt)
+    for _ in range(5):
+        vector = queries[data.draw(st.integers(0, len(queries) - 1))]
+        top_n = data.draw(st.integers(1, 4))
+        merge = data.draw(st.sampled_from(_MERGES))
+        got = registry.query(vector.tolist(), top_n, merge)
+        want = reference.query(vector.tolist(), top_n, merge)
+        assert json.dumps(got["route"]) == json.dumps(want["route"])
+        assert got["em_logits_digest"] == want["em_logits_digest"]
+
+
+def test_register_decodes_only_the_new_centroid(pool, monkeypatch):
+    paths, _ = pool
+    registry = AdapterRegistry()
+    for path in paths[:64]:
+        registry.register(path)
+    centroids = {adapterio.inspect_header(p)["metadata"]["centroid"]
+                 for p in paths[:65]}
+    decoded = []
+    loads = json.loads
+
+    def counting_loads(s, *args, **kwargs):
+        if s in centroids:
+            decoded.append(s)
+        return loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counting_loads)
+    assert registry.register(paths[64]) == 65
+    new = adapterio.inspect_header(paths[64])["metadata"]["centroid"]
+    assert decoded == [new]
+
+
+def _assert_still_serving(registry, queries, adapters: int) -> None:
+    assert registry.stats()["adapters"] == adapters
+    reply = registry.query(queries[0].tolist(), 2, None)
+    assert len(reply["route"]) == 2
+
+
+def test_register_rejects_a_registered_name(pool):
+    paths, queries = pool
+    registry = AdapterRegistry()
+    registry.register(paths[0])
+    registry.register(paths[1])
+    before = registry.snapshot()
+    with pytest.raises(DuplicateAdapterError, match="already registered"):
+        registry.register(paths[0])
+    assert registry.snapshot() is before
+    _assert_still_serving(registry, queries, 2)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"target": "other"}, "no 'memory' target"),
+    ({"d_out": 50}, r"50x16, expected 100x16"),
+    ({"d_in": 8}, r"100x8, expected 100x16"),
+    ({"centroid": [1.0] * 8}, "centroid has length 8, expected d_in=16"),
+])
+def test_register_rejects_an_adapter_no_query_could_use(pool, tmp_path, bad,
+                                                        message):
+    paths, queries = pool
+    registry = AdapterRegistry()
+    registry.register(paths[0])
+    registry.register(paths[1])
+    centroid = bad.pop("centroid", [1.0] * POOL_D_IN)
+    path = tmp_path / "bad.lmem"
+    adapterio.save(_pool_adapter("bad", np.random.default_rng(0), centroid,
+                                 **bad), path)
+    with pytest.raises(BenchError, match=message):
+        registry.register(path)
+    _assert_still_serving(registry, queries, 2)
+
+
+def test_duplicate_register_is_typed_error_and_connection_stays_open(pool):
+    paths, _ = pool
+    srv, _ = serve_in_thread(ServeConfig(port=0))
+    try:
+        request = {"op": "register", "path": str(paths[0])}
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as conn:
+            fh = conn.makefile("r", encoding="utf-8")
+            conn.sendall((json.dumps(request) + "\n").encode())
+            assert json.loads(fh.readline()) == {"ok": True, "adapters": 1}
+            conn.sendall((json.dumps(request) + "\n").encode())
+            error = json.loads(fh.readline())["error"]
+            assert error["code"] == "DuplicateAdapterError"
+            conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+            assert json.loads(fh.readline())["adapters"] == 1
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+@pytest.fixture
+def loaded_server(assets):
+    """A fresh server preloaded with the shard and single adapters."""
+    dataset, paths, single_path, cfg = assets
+    srv, _ = serve_in_thread(ServeConfig(port=0, adapter_dir=paths[0].parent))
+    yield srv, dataset
+    srv.shutdown()
+    srv.server_close()
+
+
+@pytest.mark.parametrize("field", ["top_n", "seed"])
+def test_number_too_large_is_bad_request_and_connection_stays_open(
+        loaded_server, field):
+    srv, dataset = loaded_server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 3, "merge": {"method": "dare-ties", "drop_rate": 0.5}}
+    if field == "top_n":
+        query["top_n"] = "HUGE"
+    else:
+        query["merge"]["seed"] = "HUGE"
+    # JSON reads 1e400 as inf, which int() cannot convert
+    line = json.dumps(query).replace('"HUGE"', "1e400") + "\n"
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall(line.encode())
+        assert json.loads(fh.readline())["error"]["code"] == "bad_request"
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+@pytest.mark.parametrize("length, code", [
+    (MAX_REQUEST_LINE, None),                 # newline included: at the cap
+    (MAX_REQUEST_LINE + 1, "line_too_long"),
+    (3 * MAX_REQUEST_LINE + 5, "line_too_long"),
+])
+def test_request_line_cap(loaded_server, length, code):
+    srv, _ = loaded_server
+    stats = b'{"op": "stats"}'
+    line = stats + b" " * (length - len(stats) - 1) + b"\n"
+    assert len(line) == length
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=30) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall(line)
+        reply = json.loads(fh.readline())
+        if code is None:
+            assert reply["ok"]
+        else:
+            assert reply["error"]["code"] == code
+        # one reply per line: the next reply answers the next request
+        conn.sendall(stats + b"\n")
+        assert json.loads(fh.readline())["adapters"] == 9
