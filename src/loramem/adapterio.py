@@ -127,10 +127,6 @@ def count_params(adapter: Adapter) -> int:
     return sum(p.rank * (p.d_in + p.d_out) for p in adapter.targets.values())
 
 
-def pair_params(rank: int, d_in: int, d_out: int) -> int:
-    return rank * (d_in + d_out)
-
-
 def _f32_bytes(m: Matrix) -> bytes:
     return m.data.astype("<f4").tobytes()
 

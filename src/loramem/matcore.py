@@ -173,10 +173,6 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         return Matrix(a.data @ b.data)
 
 
-def scale(a: Matrix, c: float) -> Matrix:
-    return Matrix(a.data * float(c))
-
-
 def fill_gaussian(rng: Rng, rows: int, cols: int, stddev: float) -> Matrix:
     """rows x cols matrix of N(0, stddev^2) draws from the given stream."""
     if stddev < 0:

@@ -422,21 +422,14 @@ def train_stacked(datasets: list[KvDataset],
     return results
 
 
-def _decode(logits: np.ndarray):
-    """Digit argmaxes per position plus an unambiguous flag per record, for
-    logits of shape (..., D_OUT)."""
-    blocks = logits.reshape(*logits.shape[:-1], N_POSITIONS, 10)
-    top = blocks.max(axis=-1)
-    unambiguous = ((blocks == top[..., None]).sum(axis=-1) == 1).all(axis=-1)
-    return blocks.argmax(axis=-1), unambiguous
-
-
 def exact_match(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Strict exact match per record: every digit position must argmax to
     its label, with no tie (a tie counts as incorrect). logits is
     (..., D_OUT), labels (..., N_POSITIONS)."""
-    digits, unambiguous = _decode(logits)
-    return (digits == labels).all(axis=-1) & unambiguous
+    blocks = logits.reshape(*logits.shape[:-1], N_POSITIONS, 10)
+    top = blocks.max(axis=-1)
+    unambiguous = ((blocks == top[..., None]).sum(axis=-1) == 1).all(axis=-1)
+    return (blocks.argmax(axis=-1) == labels).all(axis=-1) & unambiguous
 
 
 def evaluate(model: MemoryModel, dataset: KvDataset) -> float:
@@ -445,15 +438,6 @@ def evaluate(model: MemoryModel, dataset: KvDataset) -> float:
         return 0.0
     logits = dataset.keys.data @ model.weight().data.T
     return float(exact_match(logits, dataset.labels).mean())
-
-
-def predict_number(model: MemoryModel, key: np.ndarray) -> str | None:
-    """Decode one key to a number string; None on any argmax tie."""
-    digits, unambiguous = _decode(key.reshape(1, -1) @ model.weight().data.T)
-    if not unambiguous[0]:
-        return None
-    d = "".join(str(int(x)) for x in digits[0])
-    return f"{d[0:3]}-{d[3:6]}-{d[6:10]}"
 
 
 def save_dataset(dataset: KvDataset, path, seed: int | None = None) -> None:

@@ -12,7 +12,7 @@ evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -66,18 +66,17 @@ def memory_adapter(name: str, pair: LowRankPair, dataset: KvDataset,
     """A trained memory pair as an adapter.
 
     Metadata carries the training seed and config, the geometry, and the
-    normalized key centroid of the data the pair learned (for registry-side
-    index building).
+    key centroid of the data the pair learned, normalized by
+    `router.build_index` (for registry-side index building).
     """
-    centroid = dataset.keys.data.mean(axis=0)
-    norm = float(np.linalg.norm(centroid))
+    centroid = router.build_index([(name, dataset.keys)]).vectors.data[0]
     return Adapter(name=name, targets={TARGET_ID: pair}, metadata={
         "seed": str(config.seed),
         "rank": str(config.rank),
         "alpha": repr(config.alpha),
         "d_in": str(dataset.d_in),
         "d_out": str(D_OUT),
-        "centroid": json.dumps((centroid / norm).tolist()) if norm > 0 else "",
+        "centroid": json.dumps(centroid.tolist()),
         "train_config": json.dumps(asdict(config), sort_keys=True),
     })
 
@@ -136,7 +135,6 @@ class SystemReport:
     routing_accuracy: float
     per_shard_em: list[float]
     shard_count: int
-    config_echo: dict = field(default_factory=dict)
 
 
 def compose(adapters: list[Adapter], spec: MergeSpec) -> np.ndarray:

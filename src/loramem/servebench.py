@@ -426,15 +426,57 @@ class AdapterRegistry:
         }
 
 
+class BadRequest(BenchError):
+    """A request field of the wrong JSON type; the reply code is
+    `bad_request`."""
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _is_top_n(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_module_list(value) -> bool:
+    return (isinstance(value, list) and len(value) > 0
+            and all(isinstance(m, str) for m in value)
+            and len(set(value)) == len(value))
+
+
+def _field(blob: dict, name: str, default, valid, what: str):
+    """blob[name], or default when it is absent; BadRequest unless the value
+    passes `valid`. No value is coerced."""
+    if name not in blob:
+        return default
+    value = blob[name]
+    if not valid(value):
+        raise BadRequest(f"{name} must be {what}")
+    return value
+
+
 def _merge_spec_from(blob: dict | None) -> MergeSpec:
     if not blob:
         return MergeSpec(method=MergeMethod.TIES)
+    weights = _field(blob, "weights", None, _is_number_list,
+                     "a list of numbers")
     return MergeSpec(
-        method=MergeMethod(blob.get("method", "ties")),
-        weights=tuple(blob["weights"]) if blob.get("weights") else None,
-        density=float(blob.get("density", 1.0)),
-        drop_rate=float(blob.get("drop_rate", 0.0)),
-        seed=int(blob.get("seed", 0)),
+        method=MergeMethod(_field(blob, "method", "ties",
+                                  lambda v: isinstance(v, str), "a string")),
+        weights=tuple(weights) if weights else None,
+        density=float(_field(blob, "density", 1.0, _is_number, "a number")),
+        drop_rate=float(_field(blob, "drop_rate", 0.0, _is_number,
+                               "a number")),
+        seed=_field(blob, "seed", 0, _is_int, "an integer"),
     )
 
 
@@ -492,17 +534,19 @@ class _Handler(socketserver.StreamRequestHandler):
                                       "message": "merge must be a JSON object"}}
                 result = registry.query(
                     vector=request["vector"],
-                    top_n=int(request.get("top_n", 1)),
+                    top_n=_field(request, "top_n", 1, _is_top_n,
+                                 "an integer >= 1"),
                     merge_blob=merge_blob,
-                    modules=request.get("modules"),
+                    modules=_field(request, "modules", None, _is_module_list,
+                                   "a non-empty list of distinct strings"),
                 )
                 return {"ok": True, **result}
             if op == "stats":
                 return {"ok": True, **registry.stats()}
             return {"error": {"code": "unknown_op",
                               "message": f"unknown op {op!r}"}}
-        except OverflowError as exc:
-            # int() of a JSON number too large for a float, such as 1e400
+        except (BadRequest, OverflowError) as exc:
+            # OverflowError: float() of a JSON integer too large for a float
             return {"error": {"code": "bad_request", "message": str(exc)}}
         except (KeyError, TypeError, ValueError, OSError,
                 BenchError, adapterio.FormatError) as exc:

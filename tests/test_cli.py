@@ -326,6 +326,33 @@ def test_serve_cli_subprocess(workdir, tmp_path):
         proc.wait(timeout=10)
 
 
+def test_serve_preloading_writes_only_its_listening_line_to_stderr(
+        workdir, tmp_path):
+    # a client that waits for the listening line reads stderr's first line
+    adapters_dir = tmp_path / "adapters"
+    assert main(["multi", "run", "--data", str(workdir / "pb.txt"),
+                 "--shards", "2", "--rank", "4", "--steps", "150",
+                 "--seed", "4", "--report", str(tmp_path / "r.json"),
+                 "--save-adapters", str(adapters_dir)]) == 0
+    src = str(Path(loramem.__file__).resolve().parent.parent)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loramem", "serve", "--port", "0",
+         "--adapters", str(adapters_dir)],
+        env={**os.environ, "PYTHONPATH": src}, stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stderr.readline().startswith(
+            "loramem registry listening on 127.0.0.1:")
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        assert proc.stderr.read() == ""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+
 def test_config_echo_round_trips(workdir, capsys, tmp_path):
     """Rebuilding argv from the echoed config reproduces the same config."""
     report_path = tmp_path / "echo.json"

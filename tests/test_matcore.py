@@ -53,11 +53,6 @@ def test_matmul_associative(seed):
     np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
-def test_scale_transpose_frobenius():
-    m = rand_matrix(Rng(2), 3, 4)
-    assert matcore.scale(m, 1.0) == m
-
-
 def test_fill_gaussian_deterministic_per_seed():
     a = matcore.fill_gaussian(Rng(5), 6, 7, 0.3)
     b = matcore.fill_gaussian(Rng(5), 6, 7, 0.3)

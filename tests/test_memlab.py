@@ -10,8 +10,8 @@ from loramem.adapterio import LowRankPair
 from loramem.matcore import Matrix, Rng
 from loramem.memlab import (
     KeyCollisionError, MemoryModel, PhonebookRecord, TrainConfig,
-    TrainingDiverged, encode_key, evaluate, frozen_base, gen_phonebook,
-    loss_and_grads, make_dataset, predict_number, slice_by_budget, train,
+    TrainingDiverged, encode_key, evaluate, exact_match, frozen_base,
+    gen_phonebook, loss_and_grads, make_dataset, slice_by_budget, train,
     train_stacked,
 )
 from loramem.multimem import ShardError, ShardPlan, partition, \
@@ -192,12 +192,28 @@ def test_em_matches_string_comparison_oracle(records):
     ds = make_dataset(records[:50])
     result = train(ds, small_config(rank=16, alpha=16.0, steps=900))
     em = evaluate(result.model, ds)
+    logits = ds.keys.data @ result.model.weight().data.T
     oracle_hits = 0
-    for i, rec in enumerate(ds.records):
-        predicted = predict_number(result.model, ds.keys.data[i])
-        oracle_hits += predicted == rec.number
+    for row, rec in zip(logits.tolist(), ds.records):
+        blocks = [row[p:p + 10] for p in range(0, len(row), 10)]
+        if any(block.count(max(block)) > 1 for block in blocks):
+            continue  # a tie in any block counts as wrong
+        d = "".join(str(block.index(max(block))) for block in blocks)
+        oracle_hits += f"{d[0:3]}-{d[3:6]}-{d[6:10]}" == rec.number
     assert em == pytest.approx(oracle_hits / len(ds))
     assert em > 0.9  # the instance is comfortably memorizable
+
+
+def test_exact_match_on_hand_built_logits():
+    labels = np.array([3, 1, 4, 1, 5, 9, 2, 6, 5, 3])
+    right = np.zeros(100)
+    right[np.arange(10) * 10 + labels] = 1.0
+    one_wrong = right.copy()
+    one_wrong[40 + 5], one_wrong[40 + 7] = 0.0, 1.0
+    one_tie = right.copy()
+    one_tie[70 + 8] = 1.0  # position 7 now has two maxima
+    got = exact_match(np.stack([right, one_wrong, one_tie]), labels)
+    assert got.tolist() == [True, False, False]
 
 
 def test_loss_trace_non_increasing_full_batch(records):

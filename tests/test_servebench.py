@@ -498,6 +498,43 @@ def test_number_too_large_is_bad_request_and_connection_stays_open(
         assert json.loads(fh.readline())["ok"]
 
 
+@pytest.mark.parametrize("field, value", [
+    ("top_n", 2.7), ("top_n", True), ("top_n", "2"), ("top_n", 0),
+    ("modules", ["shard_000", "shard_000"]), ("modules", "shard_000"),
+    ("modules", []), ("modules", [0]),
+    ("merge.density", "0.3"), ("merge.density", True),
+    ("merge.drop_rate", "0.5"), ("merge.seed", True), ("merge.seed", 1.5),
+    ("merge.weights", "ab"), ("merge.weights", [True, False]),
+    ("merge.method", 5), ("merge.method", None),
+])
+def test_mistyped_query_field_is_bad_request(loaded_server, field, value):
+    srv, dataset = loaded_server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 2, "merge": {"method": "dare-ties", "density": 0.5,
+                                   "drop_rate": 0.5}}
+    if field.startswith("merge."):
+        query["merge"][field.split(".")[1]] = value
+    else:
+        query[field] = value
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps(query) + "\n").encode())
+        error = json.loads(fh.readline())["error"]
+        assert error["code"] == "bad_request"
+        assert field.split(".")[-1] in error["message"]
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+def test_top_n_beyond_the_adapter_count_routes_to_every_adapter(
+        loaded_server):
+    srv, dataset = loaded_server
+    reply = request_line("127.0.0.1", srv.port, {
+        "op": "query", "vector": dataset.keys.data[0].tolist(), "top_n": 50,
+        "merge": {"method": "linear"}})
+    assert len(reply["route"]) == 9
+
+
 @pytest.mark.parametrize("length, code", [
     (MAX_REQUEST_LINE, None),                 # newline included: at the cap
     (MAX_REQUEST_LINE + 1, "line_too_long"),
