@@ -19,7 +19,7 @@ from loramem import adapterio, memlab, merge, multimem
 from loramem.cli import main
 from loramem.memlab import TrainConfig
 from loramem.merge import MergeMethod, MergeSpec
-from loramem.servebench import AdapterRegistry
+from loramem.servebench import AdapterRegistry, BenchScenario, Mode, run_bench
 
 SWEEP_GRID = {"ranks": [2, 8], "loads": [16, 150], "seeds": [1, 2],
               "base": {"seed": 5}}
@@ -141,6 +141,12 @@ GOLDEN_REGISTRY_DARE_TIES = \
     "f52d2700bf73bafb61032243b9ae7e8f6a78896a5ecaf80fdfa35d7648d92ce2"
 GOLDEN_INTERFERENCE = \
     "3da82b820263a1fb2f9cf6d5b81bdd8b250660245789cf0504ad6ac99075dd1a"
+GOLDEN_BENCH = {
+    "base": "539088ffeb6d89bd51dd066be44d9868f6f810140fd1eb3df5e7d5917b930745",
+    "single": "6ae6b0207edc79672bd36360b56d4b1ca7b351e88e77925ddcb7ab74675e46aa",
+    "preloaded": "b62ee66f7f321c5c4019c1e02ac254fac2beff36c92b607cf52f1395a9ba0901",
+    "dynamic": "9ea17657d69b5ade898759fe03029835d4227ec13e417532dfdba0f402dbb384",
+}
 
 
 @pytest.mark.parametrize("label", sorted(DENSE_SPECS))
@@ -162,6 +168,29 @@ def test_registry_dare_ties_digest(shards):
     reply = registry.query(vector, 3, {"method": "dare-ties", "density": 0.5,
                                        "drop_rate": 0.3, "seed": 5})
     assert reply["em_logits_digest"] == GOLDEN_REGISTRY_DARE_TIES
+
+
+def _bench_digest(report) -> str:
+    """sha256 of a bench report's JSON with every time taken out: its keys
+    in order, the one-time stage names in order, each question's stage
+    names, and the reads keyed by file name."""
+    blob = report.to_json()
+    blob["stages"] = [name for name, _ in blob["stages"]]
+    blob["per_query"] = [sorted(q) for q in blob["per_query"]]
+    blob["totals"] = sorted(blob["totals"])
+    blob["read_counts"] = {Path(path).name: count
+                           for path, count in blob["read_counts"].items()}
+    return hashlib.sha256(json.dumps(blob).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("mode", [m.value for m in Mode])
+def test_bench_report_non_timing_digest(shards, mode):
+    dataset, _, paths = shards
+    report = run_bench(BenchScenario(
+        mode=Mode(mode), dataset=dataset, adapter_paths=list(paths),
+        single_adapter_path=paths[0], top_n=2,
+        merge_spec=MERGE_SPECS["ties"], base_seed=11, d_in=dataset.d_in))
+    assert _bench_digest(report) == GOLDEN_BENCH[mode]
 
 
 def test_multi_interference_report(monkeypatch, tmp_path, capsys):
