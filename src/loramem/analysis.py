@@ -91,7 +91,6 @@ def _source_records(base: TrainConfig, max_load: int):
 
 
 def run_sweep(grid: SweepGrid, base: TrainConfig,
-              records=None, d_in: int = memlab.D_IN_DEFAULT,
               progress=None) -> SweepResult:
     """Train and evaluate every (rank, load, seed) cell.
 
@@ -100,10 +99,9 @@ def run_sweep(grid: SweepGrid, base: TrainConfig,
     slice. Cells are independent and the result is deterministic for a
     given grid and base config.
     """
-    if records is None:
-        records = _source_records(base, max(grid.loads))
+    records = _source_records(base, max(grid.loads))
     datasets: dict[int, KvDataset] = {
-        load: memlab.slice_by_budget(records, load, d_in) for load in grid.loads
+        load: memlab.slice_by_budget(records, load) for load in grid.loads
     }
     cells: dict[tuple[int, int, int], float] = {}
     n_params: dict[int, int] = {}
@@ -127,7 +125,7 @@ def run_sweep(grid: SweepGrid, base: TrainConfig,
                     n_params[rank] = adapterio.count_params(probe)
                 if progress is not None:
                     progress(rank, load, seed, cells[(rank, load, seed)])
-    return SweepResult(grid=grid, cells=cells, n_params=n_params, d_in=d_in)
+    return SweepResult(grid=grid, cells=cells, n_params=n_params)
 
 
 def find_t_max(result: SweepResult, rank: int, tau: float) -> int | None:

@@ -85,19 +85,13 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def _merge_spec(args: argparse.Namespace) -> MergeSpec:
+def _merge_spec(args: argparse.Namespace, method: str,
+                mask_seed: int) -> MergeSpec:
     weights = None
-    if getattr(args, "weights", None):
+    if args.weights:
         weights = tuple(float(x) for x in args.weights.split(","))
-    # the merge subcommand names these --method/--seed; commands that embed a
-    # merge step use --merge/--merge-seed beside their own seeds
-    method_name = getattr(args, "merge", None) or args.method
-    if hasattr(args, "merge_seed"):
-        mask_seed = args.merge_seed
-    else:
-        mask_seed = getattr(args, "seed", 0)
     return MergeSpec(
-        method=MergeMethod(method_name),
+        method=MergeMethod(method),
         weights=weights,
         density=args.density,
         drop_rate=args.drop_rate,
@@ -191,7 +185,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_merge(args) -> int:
     adapters = [adapterio.load(p) for p in args.adapters]
-    spec = _merge_spec(args)
+    spec = _merge_spec(args, args.method, args.seed)
     merged = merge_mod.merge(adapters, spec)
     adapterio.save_merged(
         name=args.name, merged=merged, path=args.out,
@@ -226,7 +220,7 @@ def _cmd_multi_run(args) -> int:
             else PolicyKind.COSINE_TOP_K,
             k=args.topn, noise_stddev=args.noise, seed=args.seed,
         ),
-        merge=_merge_spec(args),
+        merge=_merge_spec(args, args.merge, args.merge_seed),
         top_n=args.topn,
     )
     plan = multimem.partition(dataset, args.shards)
@@ -256,7 +250,7 @@ def _cmd_multi_interference(args) -> int:
     config = multimem.SystemConfig(
         train=_train_config(args),
         policy=RoutingPolicy(kind=PolicyKind.ORACLE),
-        merge=_merge_spec(args),
+        merge=_merge_spec(args, args.merge, args.merge_seed),
         top_n=1,
     )
     plan = multimem.partition(dataset, args.shards)
@@ -284,7 +278,7 @@ def _cmd_bench(args) -> int:
         single_adapter_path=single,
         question_count=args.questions,
         top_n=args.topn,
-        merge_spec=_merge_spec(args),
+        merge_spec=_merge_spec(args, args.merge, args.merge_seed),
         base_seed=args.seed,
         d_in=args.d_in,
     )

@@ -24,7 +24,7 @@ import socket
 import socketserver
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -114,24 +114,7 @@ class TimingReport:
     question_count: int
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "stages": [[name, ms] for name, ms in self.stages],
-            "per_query": self.per_query,
-            "totals": self.totals,
-            "read_counts": self.read_counts,
-            "em": self.em,
-            "question_count": self.question_count,
-        }
-
-
-def _validate_stage_names(report: TimingReport) -> None:
-    seen = {name for name, _ in report.stages}
-    for per_q in report.per_query:
-        seen.update(per_q)
-    unknown = seen.difference(STAGE_NAMES)
-    if unknown:
-        raise BenchError(f"stages outside the fixed vocabulary: {sorted(unknown)}")
+        return {**asdict(self), "mode": self.mode.value}
 
 
 def _totals(stages, per_query) -> dict[str, float]:
@@ -153,27 +136,17 @@ def _load_adapter(path, counts) -> Adapter:
     return adapterio.load(path)
 
 
-def _centroid_row(name: str, metadata: dict[str, str]) -> np.ndarray:
-    """One adapter's index row, shaped (1, d): the key centroid its
-    metadata carries, normalised by `router.build_index` itself."""
-    raw = metadata.get("centroid", "")
-    if not raw:
-        raise BenchError(f"adapter {name!r} has no centroid metadata")
-    centroid = np.asarray(json.loads(raw), dtype=np.float64)
-    return router.build_index(
-        [(name, Matrix(centroid.reshape(1, -1)))]).vectors.data
-
-
 def _centroid_index(entries) -> EmbeddingIndex:
-    """Cosine index over (adapter name, metadata) pairs, one row per pair
-    in entry order."""
-    ids, rows = [], []
+    """Cosine index over (adapter name, metadata) pairs: one row per pair,
+    in entry order, from the key centroid its metadata carries."""
+    shards = []
     for name, metadata in entries:
-        if name in ids:
-            raise router.RouterError(f"duplicate module id {name!r}")
-        ids.append(name)
-        rows.append(_centroid_row(name, metadata))
-    return EmbeddingIndex(ids=tuple(ids), vectors=Matrix(np.vstack(rows)))
+        raw = metadata.get("centroid", "")
+        if not raw:
+            raise BenchError(f"adapter {name!r} has no centroid metadata")
+        centroid = np.asarray(json.loads(raw), dtype=np.float64)
+        shards.append((name, Matrix(centroid.reshape(1, -1))))
+    return router.build_index(shards)
 
 
 def _questions(scenario: BenchScenario) -> list[int]:
@@ -203,6 +176,8 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
     index = None
     weight = w0
 
+    if mode in (Mode.PRELOADED, Mode.DYNAMIC) and not scenario.adapter_paths:
+        raise BenchError(f"{mode.value} mode needs adapter_paths")
     if mode == Mode.SINGLE_ADAPTER:
         if scenario.single_adapter_path is None:
             raise BenchError("single mode needs single_adapter_path")
@@ -212,16 +187,12 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         weight = w0 + compose([adapter], scenario.merge_spec)
         stages.append(("lora_activation", watch.lap()))
     elif mode == Mode.PRELOADED:
-        if not scenario.adapter_paths:
-            raise BenchError("preloaded mode needs adapter_paths")
         watch.lap()
         loaded = [_load_adapter(p, read_counts) for p in scenario.adapter_paths]
         stages.append(("all_lora_loading", watch.lap()))
         preloaded = {ad.name: ad for ad in loaded}
         index = _centroid_index((ad.name, ad.metadata) for ad in loaded)
     elif mode == Mode.DYNAMIC:
-        if not scenario.adapter_paths:
-            raise BenchError("dynamic mode needs adapter_paths")
         headers = []
         for path in scenario.adapter_paths:
             _count_read(read_counts, path)
@@ -269,7 +240,7 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         hits += correct
         per_query.append(q)
 
-    report = TimingReport(
+    return TimingReport(
         mode=mode,
         stages=stages,
         per_query=per_query,
@@ -278,8 +249,6 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         em=hits / len(questions),
         question_count=len(questions),
     )
-    _validate_stage_names(report)
-    return report
 
 
 # --- registry service -------------------------------------------------------
@@ -343,7 +312,7 @@ class AdapterRegistry:
         adapter = adapterio.load(path)
         seed = int(adapter.metadata.get("seed", "0"))
         d_in = int(adapter.metadata.get("d_in", str(memlab.D_IN_DEFAULT)))
-        row = _centroid_row(adapter.name, adapter.metadata)
+        row = _centroid_index([(adapter.name, adapter.metadata)]).vectors.data
         _check_geometry(adapter, d_in, row)
         with self._write_lock:
             state = self._state
@@ -439,8 +408,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
 def _is_number_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+    return isinstance(value, list) and set(map(type, value)) <= {int, float}
 
 
 def _is_top_n(value) -> bool:
@@ -453,10 +426,15 @@ def _is_module_list(value) -> bool:
             and len(set(value)) == len(value))
 
 
+_REQUIRED = object()
+
+
 def _field(blob: dict, name: str, default, valid, what: str):
-    """blob[name], or default when it is absent; BadRequest unless the value
-    passes `valid`. No value is coerced."""
+    """blob[name], or default when it is absent; BadRequest when the value
+    fails `valid` or a `_REQUIRED` field is absent. No value is coerced."""
     if name not in blob:
+        if default is _REQUIRED:
+            raise BadRequest(f"{name} is required")
         return default
     value = blob[name]
     if not valid(value):
@@ -470,8 +448,8 @@ def _merge_spec_from(blob: dict | None) -> MergeSpec:
     weights = _field(blob, "weights", None, _is_number_list,
                      "a list of numbers")
     return MergeSpec(
-        method=MergeMethod(_field(blob, "method", "ties",
-                                  lambda v: isinstance(v, str), "a string")),
+        method=MergeMethod(_field(blob, "method", "ties", _is_str,
+                                  "a string")),
         weights=tuple(weights) if weights else None,
         density=float(_field(blob, "density", 1.0, _is_number, "a number")),
         drop_rate=float(_field(blob, "drop_rate", 0.0, _is_number,
@@ -483,6 +461,10 @@ def _merge_spec_from(blob: dict | None) -> MergeSpec:
 # Longest request line the server reads, newline included; a query of 256
 # floats takes about 6 KB.
 MAX_REQUEST_LINE = 1 << 20
+
+
+def _error(code: str, message: str) -> dict:
+    return {"error": {"code": code, "message": message}}
 
 
 class _Handler(socketserver.StreamRequestHandler):
@@ -504,53 +486,47 @@ class _Handler(socketserver.StreamRequestHandler):
         while (chunk := self.rfile.readline(MAX_REQUEST_LINE)) \
                 and not chunk.endswith(b"\n"):
             pass
-        return {"error": {"code": "line_too_long",
-                          "message": f"request line exceeds "
-                                     f"{MAX_REQUEST_LINE} bytes"}}
+        return _error("line_too_long",
+                      f"request line exceeds {MAX_REQUEST_LINE} bytes")
 
     @staticmethod
     def _dispatch(registry: AdapterRegistry, line: str) -> dict:
         try:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
-            return {"error": {"code": "bad_json", "message": str(exc)}}
-        if not isinstance(request, dict):
-            return {"error": {"code": "bad_request",
-                              "message": "request must be a JSON object"}}
-        op = request.get("op")
+            return _error("bad_json", str(exc))
         try:
+            if not isinstance(request, dict):
+                raise BadRequest("request must be a JSON object")
+            op = request.get("op")
             if op == "register":
-                path = request["path"]
                 # open() takes an integer as a file descriptor
-                if not isinstance(path, str):
-                    return {"error": {"code": "bad_request",
-                                      "message": "path must be a string"}}
-                count = registry.register(path)
+                count = registry.register(
+                    _field(request, "path", _REQUIRED, _is_str, "a string"))
                 return {"ok": True, "adapters": count}
             if op == "query":
-                merge_blob = request.get("merge")
-                if merge_blob is not None and not isinstance(merge_blob, dict):
-                    return {"error": {"code": "bad_request",
-                                      "message": "merge must be a JSON object"}}
                 result = registry.query(
-                    vector=request["vector"],
+                    vector=_field(request, "vector", _REQUIRED,
+                                  _is_number_list, "a list of numbers"),
                     top_n=_field(request, "top_n", 1, _is_top_n,
                                  "an integer >= 1"),
-                    merge_blob=merge_blob,
+                    merge_blob=_field(
+                        request, "merge", None,
+                        lambda v: v is None or isinstance(v, dict),
+                        "a JSON object"),
                     modules=_field(request, "modules", None, _is_module_list,
                                    "a non-empty list of distinct strings"),
                 )
                 return {"ok": True, **result}
             if op == "stats":
                 return {"ok": True, **registry.stats()}
-            return {"error": {"code": "unknown_op",
-                              "message": f"unknown op {op!r}"}}
+            return _error("unknown_op", f"unknown op {op!r}")
         except (BadRequest, OverflowError) as exc:
             # OverflowError: float() of a JSON integer too large for a float
-            return {"error": {"code": "bad_request", "message": str(exc)}}
+            return _error("bad_request", str(exc))
         except (KeyError, TypeError, ValueError, OSError,
                 BenchError, adapterio.FormatError) as exc:
-            return {"error": {"code": type(exc).__name__, "message": str(exc)}}
+            return _error(type(exc).__name__, str(exc))
 
 
 class RegistryServer(socketserver.ThreadingTCPServer):
@@ -570,9 +546,11 @@ class RegistryServer(socketserver.ThreadingTCPServer):
 
 
 def serve_in_thread(config: ServeConfig) -> tuple[RegistryServer, threading.Thread]:
-    """Start a registry server on a background thread (tests, scripts)."""
+    """Start a registry server on a background thread (tests). It polls
+    for shutdown every 50 ms, so `shutdown()` returns within that."""
     server = RegistryServer(config)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     return server, thread
 

@@ -506,6 +506,10 @@ def test_number_too_large_is_bad_request_and_connection_stays_open(
     ("merge.drop_rate", "0.5"), ("merge.seed", True), ("merge.seed", 1.5),
     ("merge.weights", "ab"), ("merge.weights", [True, False]),
     ("merge.method", 5), ("merge.method", None),
+    ("vector", ["0.5"] * memlab.D_IN_DEFAULT),
+    ("vector", [True] * memlab.D_IN_DEFAULT),
+    ("vector", [[0.5] * memlab.D_IN_DEFAULT]), ("vector", "abc"),
+    ("vector", None),
 ])
 def test_mistyped_query_field_is_bad_request(loaded_server, field, value):
     srv, dataset = loaded_server
@@ -524,6 +528,30 @@ def test_mistyped_query_field_is_bad_request(loaded_server, field, value):
         assert field.split(".")[-1] in error["message"]
         conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
         assert json.loads(fh.readline())["ok"]
+
+
+def test_absent_required_field_is_bad_request_naming_it(server):
+    srv, _ = server
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        for request, name in [({"op": "query", "top_n": 1}, "vector"),
+                              ({"op": "register"}, "path")]:
+            conn.sendall((json.dumps(request) + "\n").encode())
+            error = json.loads(fh.readline())["error"]
+            assert error == {"code": "bad_request",
+                             "message": f"{name} is required"}
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+def test_null_merge_is_the_default_merge(loaded_server):
+    srv, dataset = loaded_server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 3}
+    absent = request_line("127.0.0.1", srv.port, query)
+    null = request_line("127.0.0.1", srv.port, {**query, "merge": None})
+    assert null["em_logits_digest"] == absent["em_logits_digest"]
+    assert null["route"] == absent["route"]
 
 
 def test_top_n_beyond_the_adapter_count_routes_to_every_adapter(
