@@ -278,3 +278,58 @@ def test_lab_train_report(monkeypatch, tmp_path, capsys):
     got = {"report": hashlib.sha256(report.encode("utf-8")).hexdigest(),
            "adapter": sha256_of("mem.lmem")}
     assert got == GOLDEN_LAB_TRAIN
+
+
+# Merges of two and of four adapters, pinned in float64 before the merge
+# kept its working buffers across calls: the k = 3 digests above never make
+# those buffers grow or reuse only part of them.
+WIDE_MERGES = {
+    "ties-k2": ((3, 0), MergeSpec(method=MergeMethod.TIES, density=0.3)),
+    "ties-k4": ((2, 0, 3, 1), MergeSpec(method=MergeMethod.TIES,
+                                        density=0.3)),
+    "ties-k4-weighted": ((2, 0, 3, 1), MergeSpec(
+        method=MergeMethod.TIES, weights=(0.4, 0.1, 0.3, 0.2), density=0.5)),
+    "dare-ties-k2": ((1, 2), MergeSpec(method=MergeMethod.DARE_TIES,
+                                       drop_rate=0.3, density=0.5, seed=5)),
+    "dare-ties-k4": ((3, 1, 2, 0), MergeSpec(
+        method=MergeMethod.DARE_TIES, drop_rate=0.3, density=0.5, seed=5)),
+}
+GOLDEN_WIDE = {
+    "ties-k2":
+        "39780f713c9dab1cbd1c68a489b98f5ae655ceb233bd1f65b45825d67e15e4d1",
+    "ties-k4":
+        "999fd85d43f8f04a26228be8696d567df8c8bf9e98d89a197f330583e1551ebb",
+    "ties-k4-weighted":
+        "6f7c2aaed12790e5482e6447b9e1544747edddd7981fc7ac46ef93815b9aaecd",
+    "dare-ties-k2":
+        "89716ce4905391e8463ce21328febedebaac71addbf26fede71ca16ccc79b11f",
+    "dare-ties-k4":
+        "5bf7d1f01cd2ada6dbb86916d64be465dacca703b654c1808c7f7ce514b50315",
+}
+GOLDEN_WIDE_SEQUENCE = \
+    "3606c70ddb9a46848f5fd4e0d144800882cdfe1d580ae6b9f96293c53d57ff37"
+
+
+def _dense_digest(hasher, merged) -> None:
+    hasher.update(merged.densify(multimem.TARGET_ID).data
+                  .astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("label", sorted(WIDE_MERGES))
+def test_wide_merge_float64_bytes(shards, label):
+    _, adapters, _ = shards
+    order, spec = WIDE_MERGES[label]
+    hasher = hashlib.sha256()
+    _dense_digest(hasher, merge.merge([adapters[i] for i in order], spec))
+    assert hasher.hexdigest() == GOLDEN_WIDE[label]
+
+
+def test_merge_sequence_four_two_four_float64_bytes(shards):
+    """Four adapters, then two, four, two and four again, in one process."""
+    _, adapters, _ = shards
+    hasher = hashlib.sha256()
+    for label in ("ties-k4", "dare-ties-k2", "dare-ties-k4", "ties-k2",
+                  "ties-k4-weighted"):
+        order, spec = WIDE_MERGES[label]
+        _dense_digest(hasher, merge.merge([adapters[i] for i in order], spec))
+    assert hasher.hexdigest() == GOLDEN_WIDE_SEQUENCE
