@@ -90,13 +90,20 @@ class LowRankPair:
         return self.b.rows
 
 
+def dense_product(pair: LowRankPair, out: np.ndarray | None = None) -> np.ndarray:
+    """(alpha / rank) * b @ a as a float64 array of shape (d_out, d_in),
+    written into `out` when one is given. Overflow gives Inf entries, not a
+    warning, and the caller checks for them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = np.matmul(pair.b.data, pair.a.data, out=out)
+        dense *= pair.alpha / pair.rank
+    return dense
+
+
 def delta(pair: LowRankPair) -> Matrix:
     """Densify a pair: (alpha / rank) * b @ a, shape (d_out, d_in)."""
-    # overflow surfaces as NonFiniteError from the constructor, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        dense = pair.b.data @ pair.a.data
-        dense *= pair.alpha / pair.rank
-    return Matrix(dense)
+    # overflow surfaces as NonFiniteError from the constructor
+    return Matrix(dense_product(pair))
 
 
 @dataclass

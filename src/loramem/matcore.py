@@ -19,6 +19,9 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _TWO_NEG53 = 2.0**-53
+# Words per Bernoulli chunk: 64 KiB, below glibc's default 128 KiB mmap
+# threshold, so each chunk's buffers come from the heap, not fresh pages.
+_BERNOULLI_CHUNK = 8192
 
 
 class ShapeMismatchError(ValueError):
@@ -30,9 +33,14 @@ class NonFiniteError(ValueError):
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finalizer, in place on a uint64 array; returns z."""
+    shifted = np.empty_like(z)
+    z ^= np.right_shift(z, np.uint64(30), out=shifted)
+    z *= _MIX_A
+    z ^= np.right_shift(z, np.uint64(27), out=shifted)
+    z *= _MIX_B
+    z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    return z
 
 
 def mix_int(value: int) -> int:
@@ -57,9 +65,11 @@ class Rng:
         self._counter = 0
 
     def uint64(self, n: int) -> np.ndarray:
-        ks = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        return _mix64(self._key + ks * _GOLDEN)
+        z *= _GOLDEN
+        z += self._key
+        return _mix64(z)
 
     def uniform(self, n: int) -> np.ndarray:
         """n doubles in [0, 1)."""
@@ -87,9 +97,28 @@ class Rng:
             (self.uniform(n) * bound).astype(np.int64), bound - 1
         )
 
-    def bernoulli(self, n: int, p_true: float) -> np.ndarray:
-        """n booleans, each True with probability p_true."""
-        return self.uniform(n) < p_true
+    def bernoulli(self, n: int, p_true: float, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """n booleans, each True with probability p_true; written into
+        `out`, a C-contiguous bool array of size n, when one is given.
+
+        They equal `uniform(n) < p_true`, compared in integers: a uniform
+        is (word >> 11) * 2**-53, and for an integer j, j < p * 2**53
+        exactly when j < ceil(p * 2**53), a product float64 holds exactly.
+        The words are drawn in chunks small enough to be reused heap memory
+        rather than fresh pages; the stream is counter-based, so chunking
+        does not change them.
+        """
+        if not p_true > 0.0:                    # NaN compares False too
+            threshold = np.uint64(0)
+        else:
+            threshold = np.uint64(math.ceil(min(p_true, 1.0) * 2.0**53))
+        flat = np.empty(n, dtype=bool) if out is None else out.reshape(n)
+        for start in range(0, n, _BERNOULLI_CHUNK):
+            words = self.uint64(min(_BERNOULLI_CHUNK, n - start))
+            words >>= np.uint64(11)
+            np.less(words, threshold, out=flat[start:start + words.size])
+        return flat if out is None else out
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) (argsort of an iid draw)."""

@@ -17,14 +17,16 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from . import adapterio
 from .adapterio import Adapter, LowRankPair, MergedDelta
-from .matcore import Matrix, Rng, ShapeMismatchError
+from .matcore import Matrix, NonFiniteError, Rng, ShapeMismatchError
 
 
 class MergeError(ValueError):
@@ -103,17 +105,61 @@ def _shared_targets(adapters) -> list[str]:
     return base_ids
 
 
-def _weighted_sum(arrays: list[np.ndarray], w: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(arrays[0])
-    for wi, ai in zip(w, arrays):
-        acc += wi * ai
+class _Rows(NamedTuple):
+    """Views of the workspace for one target of shape (d_out, d_in)."""
+
+    deltas: np.ndarray      # (k, d_out, d_in): one delta per adapter
+    acc: np.ndarray         # a weighted sum, then the elected signs
+    num: np.ndarray
+    den: np.ndarray
+    tmp: np.ndarray
+    mask: np.ndarray        # bool
+    flags: np.ndarray       # bool
+
+
+class _Workspace:
+    """The float64 and bool buffers every dense merge works in, kept across
+    calls and grown on demand, so a warm merge faults in no fresh pages.
+
+    It is not a cache: a merge writes every entry it reads. Merges in all
+    threads share it under `lock`, which a merge holds for its whole
+    per-target loop, copying each result out before it lets go.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._floats = np.empty(0)
+        self._bools = np.empty(0, dtype=bool)
+
+    def rows(self, k: int, shape: tuple[int, int]) -> _Rows:
+        n = shape[0] * shape[1]
+        if self._floats.size < (k + 4) * n:
+            self._floats = np.empty(0)          # free before the larger one
+            self._floats = np.empty((k + 4) * n)
+        if self._bools.size < 2 * n:
+            self._bools = np.empty(0, dtype=bool)
+            self._bools = np.empty(2 * n, dtype=bool)
+        floats = self._floats[:(k + 4) * n].reshape(k + 4, *shape)
+        bools = self._bools[:2 * n].reshape(2, *shape)
+        return _Rows(floats[:k], *floats[k:], *bools)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _weighted_sum(rows: _Rows, w: np.ndarray) -> np.ndarray:
+    acc, tmp = rows.acc, rows.tmp
+    acc.fill(0.0)
+    for wi, d in zip(w, rows.deltas):
+        acc += np.multiply(d, wi, out=tmp)
     return acc
 
 
 def _merge_dense(adapters: list[Adapter], weights, combine,
                  drop_rate: float = 0.0, seed: int = 0) -> MergedDelta:
     """Densify each adapter's delta per target, optionally drop and rescale
-    it, and combine the deltas in canonical order with `combine(deltas, w)`.
+    it, and combine the deltas in canonical order with
+    `combine(rows, w)`, all in the shared workspace.
 
     Drop masks come from streams keyed by (seed, adapter name), so distinct
     adapters get independent masks and permuting the input list does not
@@ -128,12 +174,22 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
         rescale = 1.0 / (1.0 - drop_rate)
         rngs = [Rng(seed).derive("dare-mask", ad.name) for ad in adapters]
     out: dict[str, LowRankPair | Matrix] = {}
-    for tid in target_ids:
-        deltas = [adapterio.delta(ad.targets[tid]).data for ad in adapters]
-        if drop_rate:
-            deltas = [d * rescale * rng.bernoulli(d.size, 1.0 - drop_rate)
-                      .reshape(d.shape) for rng, d in zip(rngs, deltas)]
-        out[tid] = Matrix(combine(deltas, w))
+    with _WORKSPACE.lock:
+        for tid in target_ids:
+            pairs = [ad.targets[tid] for ad in adapters]
+            rows = _WORKSPACE.rows(len(pairs), (pairs[0].d_out,
+                                                pairs[0].d_in))
+            for i, (pair, d) in enumerate(zip(pairs, rows.deltas)):
+                adapterio.dense_product(pair, out=d)
+                if not np.isfinite(d, out=rows.mask).all():
+                    raise NonFiniteError(
+                        f"adapter {adapters[i].name!r} target {tid!r}: "
+                        f"delta has NaN or Inf entries")
+                if drop_rate:
+                    d *= rescale
+                    d *= rngs[i].bernoulli(d.size, 1.0 - drop_rate,
+                                           out=rows.mask)
+            out[tid] = Matrix(combine(rows, w))
     return MergedDelta(out)
 
 
@@ -163,37 +219,52 @@ def merge_cat(adapters: list[Adapter]) -> MergedDelta:
     return MergedDelta(out)
 
 
-def _trim_mask(dense: np.ndarray, density: float) -> np.ndarray:
+def _trim_mask(dense: np.ndarray, density: float, *, out=None, ties=None,
+               mag=None, part=None) -> np.ndarray:
     """Mask of the ceil(density * n) entries of largest |value|; at the
     cutoff magnitude, earlier row-major entries win, as in a stable sort.
     A selection finds the cutoff, entries above it are kept, and the first
-    entries equal to it fill the remaining places."""
-    flat = np.abs(dense).ravel()
-    keep = math.ceil(density * flat.size)
-    if keep >= flat.size:
-        return np.ones(dense.shape, dtype=bool)
-    cutoff = np.partition(flat, flat.size - keep)[flat.size - keep]
-    mask = flat > cutoff
-    ties = np.flatnonzero(flat == cutoff)
-    mask[ties[:keep - np.count_nonzero(mask)]] = True
-    return mask.reshape(dense.shape)
+    entries equal to it fill the remaining places. The keyword arguments
+    are buffers of dense's shape to work in (bool for `out` and `ties`,
+    float64 for `mag` and `part`); missing ones are allocated."""
+    keep = math.ceil(density * dense.size)
+    if out is None:
+        out = np.empty(dense.shape, dtype=bool)
+    if keep >= dense.size:
+        out.fill(True)
+        return out
+    mag = np.abs(dense, out=mag)
+    flat = np.abs(dense, out=part).reshape(-1)
+    flat.partition(dense.size - keep)
+    cutoff = flat[dense.size - keep]
+    np.greater(mag, cutoff, out=out)
+    tied = np.flatnonzero(np.equal(mag, cutoff, out=ties))
+    np.put(out, tied[:keep - np.count_nonzero(out)], True)
+    return out
 
 
-def _ties_combine(deltas: list[np.ndarray], w: np.ndarray,
-                  density: float) -> np.ndarray:
-    """Trim, elect the dominant sign, then renormalized mean of agreeing
-    survivors. Dropped negative entries become -0.0, which no output byte
-    shows: sums from +0.0 never end at -0.0, and the divide writes +0.0.
-    Agreement reads each delta's own sign: w * delta can underflow."""
-    masks = [_trim_mask(d, density) for d in deltas]
-    products = [wi * (d * m) for wi, d, m in zip(w, deltas, masks)]
-    elected = np.sign(sum(products))
-    num, den = np.zeros_like(elected), np.zeros_like(elected)
-    for wi, d, m, pi in zip(w, deltas, masks, products):
-        agree = m & (np.sign(d) == elected) & (d != 0.0)
-        num += pi * agree
-        den += wi * agree
-    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+def _ties_combine(rows: _Rows, w: np.ndarray, density: float) -> np.ndarray:
+    """Trim each delta in place, elect the dominant sign, then the
+    renormalized mean of agreeing survivors. A survivor agrees when its
+    product with the elected sign, which is -1, 0 or 1 and so exact, is
+    positive. Dropped negative entries become -0.0, which no output byte
+    shows: sums from +0.0 never end at -0.0, and where no weight agrees
+    the numerator is such a sum, +0.0, which the divide leaves in place."""
+    for d in rows.deltas:
+        d *= _trim_mask(d, density, out=rows.mask, ties=rows.flags,
+                        mag=rows.num, part=rows.den)
+    elected = np.sign(_weighted_sum(rows, w), out=rows.acc)
+    num, den, tmp, agree = rows.num, rows.den, rows.tmp, rows.mask
+    num.fill(0.0)
+    den.fill(0.0)
+    for wi, d in zip(w, rows.deltas):
+        np.greater(np.multiply(d, elected, out=tmp), 0.0, out=agree)
+        np.multiply(d, wi, out=tmp)
+        tmp *= agree
+        num += tmp
+        den += np.multiply(agree, wi, out=tmp)
+    return np.divide(num, den, out=num,
+                     where=np.greater(den, 0.0, out=rows.flags))
 
 
 def merge_ties(adapters: list[Adapter], weights: list[float] | None = None,

@@ -33,7 +33,7 @@ import numpy as np
 from . import adapterio, memlab, router
 from .adapterio import Adapter
 from .matcore import Matrix
-from .merge import MergeMethod, MergeSpec
+from .merge import MergeError, MergeMethod, MergeSpec
 from .multimem import TARGET_ID, compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
@@ -290,6 +290,21 @@ def _check_geometry(adapter: Adapter, d_in: int, row: np.ndarray) -> None:
                          f"{row.shape[1]}, expected d_in={d_in}")
 
 
+def _query_vector(vector) -> np.ndarray:
+    """A query vector as float64; BenchError unless it is 1-D and numeric.
+    An integer beyond float range raises OverflowError, as float() does."""
+    try:
+        vec = np.asarray(vector)
+    except ValueError as exc:                   # ragged nesting
+        raise BenchError("query vector must be a 1-D list of numbers") \
+            from exc
+    # object arrays hold Python ints too large for int64, or non-numbers
+    if vec.ndim != 1 or not (vec.dtype.kind in "iuf" or vec.dtype.kind == "O"
+                             and all(map(_is_number, vec))):
+        raise BenchError("query vector must be a 1-D list of numbers")
+    return vec.astype(np.float64)
+
+
 class AdapterRegistry:
     """Preloading registry: register swaps an immutable snapshot under a
     lock; queries read the current snapshot without locking.
@@ -347,7 +362,7 @@ class AdapterRegistry:
         state = self.snapshot()
         if not state.adapters:
             raise BenchError("no adapters registered")
-        vec = np.asarray(vector, dtype=np.float64)
+        vec = _query_vector(vector)
         if not np.isfinite(vec).all():
             raise BenchError("query vector has NaN or Inf entries")
         if vec.size != state.d_in:
@@ -442,20 +457,29 @@ def _field(blob: dict, name: str, default, valid, what: str):
     return value
 
 
+def _is_method(value) -> bool:
+    return _is_str(value) and value in {m.value for m in MergeMethod}
+
+
 def _merge_spec_from(blob: dict | None) -> MergeSpec:
     if not blob:
         return MergeSpec(method=MergeMethod.TIES)
     weights = _field(blob, "weights", None, _is_number_list,
                      "a list of numbers")
-    return MergeSpec(
-        method=MergeMethod(_field(blob, "method", "ties", _is_str,
-                                  "a string")),
-        weights=tuple(weights) if weights else None,
-        density=float(_field(blob, "density", 1.0, _is_number, "a number")),
-        drop_rate=float(_field(blob, "drop_rate", 0.0, _is_number,
-                               "a number")),
-        seed=_field(blob, "seed", 0, _is_int, "an integer"),
-    )
+    method = _field(blob, "method", "ties", _is_method,
+                    "one of " + ", ".join(m.value for m in MergeMethod))
+    try:
+        return MergeSpec(
+            method=MergeMethod(method),
+            weights=tuple(weights) if weights else None,
+            density=float(_field(blob, "density", 1.0, _is_number,
+                                 "a number")),
+            drop_rate=float(_field(blob, "drop_rate", 0.0, _is_number,
+                                   "a number")),
+            seed=_field(blob, "seed", 0, _is_int, "an integer"),
+        )
+    except MergeError as exc:       # a density or drop_rate out of range
+        raise BadRequest(str(exc)) from exc
 
 
 # Longest request line the server reads, newline included; a query of 256

@@ -115,3 +115,24 @@ def test_rng_uniform_range():
 def test_rng_permutation_is_permutation():
     p = Rng(3).permutation(100)
     assert sorted(p.tolist()) == list(range(100))
+
+
+BERNOULLI_PS = (0.0, 2.0**-53, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, 1.0)
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_rng_bernoulli_equals_uniform_threshold(p):
+    # 20000 draws span more than one of bernoulli's chunks
+    got = Rng(21).bernoulli(20000, p)
+    assert got.dtype == bool
+    assert np.array_equal(got, Rng(21).uniform(20000) < p)
+
+
+@pytest.mark.parametrize("p", BERNOULLI_PS)
+def test_rng_bernoulli_out_and_counter(p):
+    drawn, reference = Rng(8), Rng(8)
+    out = np.empty((25, 800), dtype=bool)
+    assert drawn.bernoulli(out.size, p, out=out) is out
+    assert np.array_equal(out.ravel(), reference.uniform(out.size) < p)
+    # both streams have now used out.size words
+    assert np.array_equal(drawn.uint64(5), reference.uint64(5))

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from loramem import merge as merge_mod
 from loramem.adapterio import Adapter, LowRankPair, delta
-from loramem.matcore import Matrix, Rng
+from loramem.matcore import Matrix, NonFiniteError, Rng
 from loramem.merge import (
     MergeError, MergeMethod, MergeSpec, TargetMismatchError, WeightError,
     merge, merge_cat, merge_dare, merge_linear, merge_ties,
@@ -421,3 +423,89 @@ def test_merge_dispatcher_routes_all_methods():
 def test_merge_needs_at_least_one_adapter():
     with pytest.raises(MergeError):
         merge_linear([], [])
+
+
+# --- shared workspace -------------------------------------------------------
+
+
+def workspace_specs():
+    """Every method at k = 1..4, weighted and uniform, on two shapes, so the
+    workspace grows, shrinks its views and switches shapes between merges."""
+    small = [rand_adapter(60 + i, f"s{i}", rank=3, d_in=30, d_out=20)
+             for i in range(4)]
+    large = [rand_adapter(70 + i, f"l{i}", rank=2, d_in=64, d_out=24,
+                          targets=("t0", "t1")) for i in range(4)]
+    cases = []
+    for k in (1, 2, 3, 4):
+        weights = tuple(float(x) for x in np.arange(1, k + 1) / (k * (k + 1) / 2))
+        for method in MergeMethod:
+            for pool in (small, large):
+                cases.append((pool[:k], MergeSpec(
+                    method=method, weights=weights if k % 2 else None,
+                    density=0.4, drop_rate=0.3, seed=k)))
+    return cases
+
+
+def merged_bytes(adapters, spec) -> bytes:
+    out = merge(adapters, spec)
+    return b"".join(out.densify(tid).data.tobytes() for tid in sorted(out.targets))
+
+
+def run_threads(target, count, timeout=60.0):
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target, args=(i,))
+                   for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+def test_concurrent_merges_equal_serial_bytes():
+    cases = workspace_specs()
+    serial = [merged_bytes(ads, spec) for ads, spec in cases]
+    got: dict[int, list[bytes]] = {}
+
+    def work(tid):
+        order = Rng(tid).integers(50, len(cases))
+        got[tid] = [(i, merged_bytes(*cases[i])) for i in order]
+
+    run_threads(work, 4)
+    assert sorted(got) == [0, 1, 2, 3]
+    for results in got.values():
+        assert len(results) == 50
+        for i, data in results:
+            assert data == serial[i], cases[i][1]
+
+
+def overflowing_adapter(name, d_in=30, d_out=20) -> Adapter:
+    # entries of 1e200 are finite, their products are not
+    pair = LowRankPair(a=Matrix(np.full((3, d_in), 1e200)),
+                       b=Matrix(np.full((d_out, 3), 1e200)),
+                       alpha=3.0, rank=3)
+    return Adapter(name=name, targets={"t0": pair})
+
+
+def test_failed_merges_leave_the_workspace_usable():
+    ads, spec = workspace_specs()[-8]            # four small adapters, ties
+    want = merged_bytes(ads, spec)
+    failing = [
+        (NonFiniteError, ads[:2] + [overflowing_adapter("s9")], MergeSpec(
+            method=MergeMethod.TIES, density=0.4)),
+        (NonFiniteError, [overflowing_adapter("a0")] + ads[1:], MergeSpec(
+            method=MergeMethod.DARE_TIES, density=0.4, drop_rate=0.3)),
+        (WeightError, ads, MergeSpec(method=MergeMethod.TIES,
+                                     weights=(0.5, 0.5), density=0.4)),
+    ]
+    for error, inputs, bad in failing:
+        with pytest.raises(error):
+            merge(inputs, bad)
+        assert not merge_mod._WORKSPACE.lock.locked()
+    got = []
+    run_threads(lambda _: got.append(merged_bytes(ads, spec)), 1)
+    assert got == [want]

@@ -584,3 +584,34 @@ def test_request_line_cap(loaded_server, length, code):
         # one reply per line: the next reply answers the next request
         conn.sendall(stats + b"\n")
         assert json.loads(fh.readline())["adapters"] == 9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("method", "bogus"), ("method", ["ties"]), ("density", 0),
+    ("density", 1.5), ("drop_rate", 1.0), ("drop_rate", -0.1),
+])
+def test_merge_field_out_of_range_is_bad_request_naming_it(
+        loaded_server, field, value):
+    srv, dataset = loaded_server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 3, "merge": {"method": "dare-ties", field: value}}
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps(query) + "\n").encode())
+        error = json.loads(fh.readline())["error"]
+        assert error["code"] == "bad_request"
+        assert field in error["message"]
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+@pytest.mark.parametrize("vector", [
+    lambda v: [str(x) for x in v], lambda v: [v], lambda v: [True] * len(v),
+    lambda v: [v[:2], v[2:3]], lambda v: "abc", lambda v: [None] * len(v),
+])
+def test_in_process_query_vector_must_be_flat_numbers(assets, vector):
+    dataset, paths, single_path, cfg = assets
+    registry = AdapterRegistry()
+    registry.register(paths[0])
+    with pytest.raises(BenchError, match="1-D list of numbers"):
+        registry.query(vector(dataset.keys.data[0].tolist()), 1, None)
