@@ -15,6 +15,7 @@ list position.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
@@ -118,16 +119,12 @@ class _Rows(NamedTuple):
 
 
 class _Workspace:
-    """The float64 and bool buffers every dense merge works in, kept across
-    calls and grown on demand, so a warm merge faults in no fresh pages.
-
-    It is not a cache: a merge writes every entry it reads. Merges in all
-    threads share it under `lock`, which a merge holds for its whole
-    per-target loop, copying each result out before it lets go.
-    """
+    """The float64 and bool buffers a dense merge works in, grown on demand
+    and never shrunk. The process keeps one, `_WORKSPACE`, across calls, so
+    a warm merge faults in no fresh pages. It is not a cache: a merge
+    writes every entry it reads, and copies its result out."""
 
     def __init__(self):
-        self.lock = threading.Lock()
         self._floats = np.empty(0)
         self._bools = np.empty(0, dtype=bool)
 
@@ -145,6 +142,23 @@ class _Workspace:
 
 
 _WORKSPACE = _Workspace()
+_WORKSPACE_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _workspace():
+    """The shared workspace, under its lock for the whole block; while
+    another merge holds it, a fresh workspace of the caller's own. Merges on
+    different threads never wait for each other: with the interpreter lock,
+    a merge blocked on this one served two registry connections slower than
+    one."""
+    if not _WORKSPACE_LOCK.acquire(blocking=False):
+        yield _Workspace()
+        return
+    try:
+        yield _WORKSPACE
+    finally:
+        _WORKSPACE_LOCK.release()
 
 
 def _weighted_sum(rows: _Rows, w: np.ndarray) -> np.ndarray:
@@ -159,7 +173,7 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
                  drop_rate: float = 0.0, seed: int = 0) -> MergedDelta:
     """Densify each adapter's delta per target, optionally drop and rescale
     it, and combine the deltas in canonical order with
-    `combine(rows, w)`, all in the shared workspace.
+    `combine(rows, w)`, all in a workspace.
 
     Drop masks come from streams keyed by (seed, adapter name), so distinct
     adapters get independent masks and permuting the input list does not
@@ -174,11 +188,11 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
         rescale = 1.0 / (1.0 - drop_rate)
         rngs = [Rng(seed).derive("dare-mask", ad.name) for ad in adapters]
     out: dict[str, LowRankPair | Matrix] = {}
-    with _WORKSPACE.lock:
+    with _workspace() as workspace:
         for tid in target_ids:
             pairs = [ad.targets[tid] for ad in adapters]
-            rows = _WORKSPACE.rows(len(pairs), (pairs[0].d_out,
-                                                pairs[0].d_in))
+            rows = workspace.rows(len(pairs), (pairs[0].d_out,
+                                               pairs[0].d_in))
             for i, (pair, d) in enumerate(zip(pairs, rows.deltas)):
                 adapterio.dense_product(pair, out=d)
                 if not np.isfinite(d, out=rows.mask).all():

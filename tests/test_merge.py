@@ -505,7 +505,7 @@ def test_failed_merges_leave_the_workspace_usable():
     for error, inputs, bad in failing:
         with pytest.raises(error):
             merge(inputs, bad)
-        assert not merge_mod._WORKSPACE.lock.locked()
+        assert not merge_mod._WORKSPACE_LOCK.locked()
     got = []
     run_threads(lambda _: got.append(merged_bytes(ads, spec)), 1)
     assert got == [want]
