@@ -109,36 +109,39 @@ def _shared_targets(adapters) -> list[str]:
 class _Rows(NamedTuple):
     """Views of the workspace for one target of shape (d_out, d_in)."""
 
-    deltas: np.ndarray      # (k, d_out, d_in): one delta per adapter
     acc: np.ndarray         # a weighted sum, then the elected signs
     num: np.ndarray
     den: np.ndarray
     tmp: np.ndarray
     mask: np.ndarray        # bool
     flags: np.ndarray       # bool
+    deltas: list[np.ndarray]    # one per adapter
 
 
 class _Workspace:
-    """The float64 and bool buffers a dense merge works in, grown on demand
-    and never shrunk. The process keeps one, `_WORKSPACE`, across calls, so
-    a warm merge faults in no fresh pages. It is not a cache: a merge
-    writes every entry it reads, and copies its result out."""
+    """The float64 and bool rows a dense merge works in, each a separate
+    array of the largest target size seen. Rows are added when a merge
+    takes more adapters, and all are replaced when a larger target comes;
+    none is ever freed otherwise. The process keeps one, `_WORKSPACE`,
+    across calls, so a warm merge faults in no fresh pages. It is not a
+    cache: a merge writes every entry it reads, and copies its result out.
+    """
 
     def __init__(self):
-        self._floats = np.empty(0)
-        self._bools = np.empty(0, dtype=bool)
+        self._size = 0
+        self._floats: list[np.ndarray] = []
+        self._bools: list[np.ndarray] = []
 
     def rows(self, k: int, shape: tuple[int, int]) -> _Rows:
         n = shape[0] * shape[1]
-        if self._floats.size < (k + 4) * n:
-            self._floats = np.empty(0)          # free before the larger one
-            self._floats = np.empty((k + 4) * n)
-        if self._bools.size < 2 * n:
-            self._bools = np.empty(0, dtype=bool)
-            self._bools = np.empty(2 * n, dtype=bool)
-        floats = self._floats[:(k + 4) * n].reshape(k + 4, *shape)
-        bools = self._bools[:2 * n].reshape(2, *shape)
-        return _Rows(floats[:k], *floats[k:], *bools)
+        if n > self._size:
+            self._size, self._floats = n, []
+            self._bools = [np.empty(n, dtype=bool) for _ in range(2)]
+        while len(self._floats) < 4 + k:
+            self._floats.append(np.empty(self._size))
+        views = [row[:n].reshape(shape)
+                 for row in self._floats[:4 + k] + self._bools]
+        return _Rows(*views[:4], *views[-2:], views[4:-2])
 
 
 _WORKSPACE = _Workspace()
