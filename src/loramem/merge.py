@@ -151,10 +151,10 @@ _WORKSPACE_LOCK = threading.Lock()
 @contextlib.contextmanager
 def _workspace():
     """The shared workspace, under its lock for the whole block; while
-    another merge holds it, a fresh workspace of the caller's own. Merges on
-    different threads never wait for each other: with the interpreter lock,
-    a merge blocked on this one served two registry connections slower than
-    one."""
+    another merge holds it, a fresh workspace of the caller's own. A merge
+    never waits for another: merges that waited, trading the interpreter
+    lock back and forth, served two registry connections fewer queries per
+    second than one."""
     if not _WORKSPACE_LOCK.acquire(blocking=False):
         yield _Workspace()
         return
