@@ -44,9 +44,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 
 def mix_int(value: int) -> int:
-    """splitmix64 finalizer on a single 64-bit integer."""
-    # 1-element array: numpy warns on scalar uint64 overflow, not on arrays
-    return int(_mix64(np.array([value & _MASK64], dtype=np.uint64))[0])
+    """splitmix64 finalizer on a single 64-bit integer, in Python integers
+    (an array call costs more than the arithmetic at this size)."""
+    z = value & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class Rng:
