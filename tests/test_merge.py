@@ -492,8 +492,11 @@ def overflowing_adapter(name, d_in=30, d_out=20) -> Adapter:
 
 
 def test_failed_merges_leave_the_workspace_usable():
-    ads, spec = workspace_specs()[-8]            # four small adapters, ties
-    want = merged_bytes(ads, spec)
+    after = [(ads, spec) for ads, spec in workspace_specs()
+             if len(ads) == 4 and spec.method in (MergeMethod.TIES,
+                                                  MergeMethod.DARE_TIES)]
+    want = [merged_bytes(*case) for case in after]
+    ads = after[0][0]                                 # four small adapters
     failing = [
         (NonFiniteError, ads[:2] + [overflowing_adapter("s9")], MergeSpec(
             method=MergeMethod.TIES, density=0.4)),
@@ -507,5 +510,6 @@ def test_failed_merges_leave_the_workspace_usable():
             merge(inputs, bad)
         assert not merge_mod._WORKSPACE_LOCK.locked()
     got = []
-    run_threads(lambda _: got.append(merged_bytes(ads, spec)), 1)
-    assert got == [want]
+    run_threads(lambda _: got.extend(merged_bytes(*case) for case in after),
+                1)
+    assert got == want
