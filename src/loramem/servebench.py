@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import itertools
 import json
 import socket
 import socketserver
@@ -61,25 +62,19 @@ class BenchError(RuntimeError):
     pass
 
 
-class ClockError(BenchError):
-    """The monotonic clock went backwards; an environment fault."""
+class _Stages:
+    """One call's stage times: `lap(name)` charges the time since the
+    previous lap to `name`, in ms; `lap()` only restarts the clock."""
 
-
-def _now_ms() -> float:
-    return time.perf_counter_ns() / 1e6
-
-
-class _Stopwatch:
     def __init__(self):
-        self._t0 = _now_ms()
+        self.ms: dict[str, float] = {}
+        self._t0 = time.perf_counter_ns()
 
-    def lap(self) -> float:
-        t1 = _now_ms()
-        if t1 < self._t0:
-            raise ClockError(f"clock moved backwards: {self._t0} -> {t1}")
-        dt = t1 - self._t0
+    def lap(self, name: str | None = None) -> None:
+        t1 = time.perf_counter_ns()
+        if name is not None:
+            self.ms[name] = (t1 - self._t0) / 1e6
         self._t0 = t1
-        return dt
 
 
 @dataclass
@@ -119,11 +114,8 @@ class TimingReport:
 
 def _totals(stages, per_query) -> dict[str, float]:
     totals: dict[str, float] = {}
-    for name, ms in stages:
+    for name, ms in itertools.chain(stages, *(q.items() for q in per_query)):
         totals[name] = totals.get(name, 0.0) + ms
-    for per_q in per_query:
-        for name, ms in per_q.items():
-            totals[name] = totals.get(name, 0.0) + ms
     return totals
 
 
@@ -156,6 +148,26 @@ def _questions(scenario: BenchScenario) -> list[int]:
     return [i % n for i in range(scenario.question_count)]
 
 
+def _query(stages: _Stages, index: EmbeddingIndex, vec: np.ndarray,
+           top_n: int, select, spec: MergeSpec, w0: np.ndarray,
+           modules: list[str] | None = None):
+    """The read path: route `vec` to its cosine top-`top_n` modules (or take
+    `modules` at score 1), compose what `select(ids, stages)` returns and
+    add it to `w0`. Returns the ranked route and the weight."""
+    if modules is None:
+        policy = RoutingPolicy(kind=PolicyKind.COSINE_TOP_K,
+                               k=min(top_n, len(index)))
+        ranked = router.route(index, vec, policy)
+    else:
+        ranked = [(mid, 1.0) for mid in modules]
+    stages.lap("index_search")
+    delta = compose(select([mid for mid, _ in ranked], stages), spec)
+    stages.lap("lora_merge")
+    weight = w0 + delta
+    stages.lap("lora_activation")
+    return ranked, weight
+
+
 def run_bench(scenario: BenchScenario) -> TimingReport:
     """Execute the scenario and measure every stage with explicit
     before/after clock reads. The report's structure is deterministic for a
@@ -163,16 +175,13 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
     ds = scenario.dataset
     questions = _questions(scenario)
     read_counts: dict[str, int] = {}
-    stages: list[tuple[str, float]] = []
     per_query: list[dict[str, float]] = []
 
-    watch = _Stopwatch()
+    setup = _Stages()
     w0 = memlab.frozen_base(scenario.base_seed, scenario.d_in).data
-    stages.append(("model_loading", watch.lap()))
+    setup.lap("model_loading")
 
     mode = scenario.mode
-    preloaded: dict[str, Adapter] = {}
-    paths_by_name: dict[str, Path] = {}
     index = None
     weight = w0
 
@@ -181,19 +190,21 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
     if mode == Mode.SINGLE_ADAPTER:
         if scenario.single_adapter_path is None:
             raise BenchError("single mode needs single_adapter_path")
-        watch.lap()
         adapter = _load_adapter(scenario.single_adapter_path, read_counts)
-        stages.append(("lora_loading", watch.lap()))
+        setup.lap("lora_loading")
         weight = w0 + compose([adapter], scenario.merge_spec)
-        stages.append(("lora_activation", watch.lap()))
+        setup.lap("lora_activation")
     elif mode == Mode.PRELOADED:
-        watch.lap()
         loaded = [_load_adapter(p, read_counts) for p in scenario.adapter_paths]
-        stages.append(("all_lora_loading", watch.lap()))
+        setup.lap("all_lora_loading")
         preloaded = {ad.name: ad for ad in loaded}
         index = _centroid_index((ad.name, ad.metadata) for ad in loaded)
+
+        def select(chosen, stages):
+            return [preloaded[mid] for mid in chosen]
     elif mode == Mode.DYNAMIC:
         headers = []
+        paths_by_name: dict[str, Path] = {}
         for path in scenario.adapter_paths:
             _count_read(read_counts, path)
             header = adapterio.inspect_header(path)
@@ -201,31 +212,22 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
             paths_by_name[header["name"]] = Path(path)
         index = _centroid_index(headers)
 
-    policy = RoutingPolicy(kind=PolicyKind.COSINE_TOP_K,
-                           k=min(scenario.top_n, len(index)) if index else 1)
+        def select(chosen, stages):
+            selected = [_load_adapter(paths_by_name[mid], read_counts)
+                        for mid in chosen]
+            stages.lap("lora_loading")
+            return selected
+
     hits = 0
-    for ordinal, rec_idx in enumerate(questions):
+    for rec_idx in questions:
         record = ds.records[rec_idx]
-        q: dict[str, float] = {}
-        watch.lap()
+        q = _Stages()
         if index is not None:
             key = memlab.encode_key(record.name, scenario.d_in)
-            q["query_embedding"] = watch.lap()
-            ranked = router.route(index, key, policy, ordinal=ordinal)
-            chosen = [mid for mid, _ in ranked]
-            q["index_search"] = watch.lap()
-            if mode == Mode.DYNAMIC:
-                selected = [_load_adapter(paths_by_name[mid], read_counts)
-                            for mid in chosen]
-                q["lora_loading"] = watch.lap()
-            else:
-                selected = [preloaded[mid] for mid in chosen]
-            delta = compose(selected, scenario.merge_spec)
-            q["lora_merge"] = watch.lap()
-            weight = w0 + delta
-            q["lora_activation"] = watch.lap()
+            q.lap("query_embedding")
+            _, weight = _query(q, index, key, scenario.top_n, select,
+                               scenario.merge_spec, w0)
 
-        watch.lap()
         question_text = (f"Question: What is the phone number of "
                          f"{record.name}? Answer:")
         _ = question_text.split()
@@ -233,18 +235,18 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
             # Closed-book modes: turning the prompt into the model input
             # (split + key encoding) is all tokenization-side work here.
             key = memlab.encode_key(record.name, scenario.d_in)
-        q["tokenization"] = watch.lap()
+        q.lap("tokenization")
 
         correct = bool(memlab.exact_match(weight @ key, ds.labels[rec_idx]))
-        q["inference"] = watch.lap()
+        q.lap("inference")
         hits += correct
-        per_query.append(q)
+        per_query.append(q.ms)
 
     return TimingReport(
         mode=mode,
-        stages=stages,
+        stages=list(setup.ms.items()),
         per_query=per_query,
-        totals=_totals(stages, per_query),
+        totals=_totals(setup.ms.items(), per_query),
         read_counts=read_counts,
         em=hits / len(questions),
         question_count=len(questions),
@@ -368,35 +370,25 @@ class AdapterRegistry:
         if vec.size != state.d_in:
             raise BenchError(
                 f"query dimension {vec.size} != registry d_in {state.d_in}")
-        stage_times: dict[str, float] = {}
-        watch = _Stopwatch()
-        if modules is None:
-            policy = RoutingPolicy(kind=PolicyKind.COSINE_TOP_K,
-                                   k=min(top_n, len(state.index)))
-            ranked = router.route(state.index, vec, policy)
-            chosen = [mid for mid, _ in ranked]
-        else:
-            unknown = [m for m in modules if m not in state.adapters]
-            if unknown:
-                raise BenchError(f"unknown adapter id(s): {unknown}")
-            chosen = list(modules)
-            ranked = [(mid, 1.0) for mid in chosen]
-        stage_times["index_search"] = watch.lap()
-        delta = compose([state.adapters[m] for m in chosen],
-                        _merge_spec_from(merge_blob))
-        stage_times["lora_merge"] = watch.lap()
-        weight = state.w0 + delta
-        stage_times["lora_activation"] = watch.lap()
+        spec = _merge_spec_from(merge_blob)
+        unknown = [m for m in modules or () if m not in state.adapters]
+        if unknown:
+            raise BenchError(f"unknown adapter id(s): {unknown}")
+        stages = _Stages()
+        ranked, weight = _query(
+            stages, state.index, vec, top_n,
+            lambda chosen, _: [state.adapters[m] for m in chosen], spec,
+            state.w0, modules)
         logits = weight @ vec
         digest = hashlib.sha256(
             np.ascontiguousarray(logits).astype("<f8").tobytes()).hexdigest()
-        stage_times["inference"] = watch.lap()
+        stages.lap("inference")
         with self._counter_lock:
             self._queries_served += 1
         return {
             "route": [[mid, score] for mid, score in ranked],
             "em_logits_digest": digest,
-            "stage_times": stage_times,
+            "stage_times": stages.ms,
         }
 
     def stats(self) -> dict:
