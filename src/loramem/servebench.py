@@ -34,7 +34,7 @@ import numpy as np
 from . import adapterio, memlab, router
 from .adapterio import Adapter
 from .matcore import Matrix
-from .merge import MergeError, MergeMethod, MergeSpec
+from .merge import MergeError, MergeMethod, MergeSpec, WeightError
 from .multimem import TARGET_ID, compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
@@ -367,6 +367,9 @@ class AdapterRegistry:
         vec = _query_vector(vector)
         if not np.isfinite(vec).all():
             raise BenchError("query vector has NaN or Inf entries")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(vec)):
+                raise BenchError("query vector norm overflows float64")
         if vec.size != state.d_in:
             raise BenchError(
                 f"query dimension {vec.size} != registry d_in {state.d_in}")
@@ -379,7 +382,10 @@ class AdapterRegistry:
             stages, state.index, vec, top_n,
             lambda chosen, _: [state.adapters[m] for m in chosen], spec,
             state.w0, modules)
-        logits = weight @ vec
+        with np.errstate(over="ignore", invalid="ignore"):
+            logits = weight @ vec
+        if not np.isfinite(logits).all():
+            raise BenchError("query logits are not finite")
         digest = hashlib.sha256(
             np.ascontiguousarray(logits).astype("<f8").tobytes()).hexdigest()
         stages.lap("inference")
@@ -435,6 +441,19 @@ def _is_module_list(value) -> bool:
 
 _REQUIRED = object()
 
+# The keys each op, and a query's merge object, accept.
+_OP_KEYS = {"register": {"op", "path"},
+            "query": {"op", "vector", "top_n", "merge", "modules"},
+            "stats": {"op"}}
+_MERGE_KEYS = {"method", "weights", "density", "drop_rate", "seed"}
+
+
+def _known_keys(blob: dict, keys: set, where: str) -> None:
+    """BadRequest naming the first key of blob that is not in keys."""
+    for name in blob:
+        if name not in keys:
+            raise BadRequest(f"unknown key {name!r} in {where}")
+
 
 def _field(blob: dict, name: str, default, valid, what: str):
     """blob[name], or default when it is absent; BadRequest when the value
@@ -456,6 +475,7 @@ def _is_method(value) -> bool:
 def _merge_spec_from(blob: dict | None) -> MergeSpec:
     if not blob:
         return MergeSpec(method=MergeMethod.TIES)
+    _known_keys(blob, _MERGE_KEYS, "merge")
     weights = _field(blob, "weights", None, _is_number_list,
                      "a list of numbers")
     method = _field(blob, "method", "ties", _is_method,
@@ -515,6 +535,9 @@ class _Handler(socketserver.StreamRequestHandler):
             if not isinstance(request, dict):
                 raise BadRequest("request must be a JSON object")
             op = request.get("op")
+            if not isinstance(op, str) or op not in _OP_KEYS:
+                return _error("unknown_op", f"unknown op {op!r}")
+            _known_keys(request, _OP_KEYS[op], "request")
             if op == "register":
                 # open() takes an integer as a file descriptor
                 count = registry.register(
@@ -534,11 +557,10 @@ class _Handler(socketserver.StreamRequestHandler):
                                    "a non-empty list of distinct strings"),
                 )
                 return {"ok": True, **result}
-            if op == "stats":
-                return {"ok": True, **registry.stats()}
-            return _error("unknown_op", f"unknown op {op!r}")
-        except (BadRequest, OverflowError) as exc:
-            # OverflowError: float() of a JSON integer too large for a float
+            return {"ok": True, **registry.stats()}
+        except (BadRequest, OverflowError, WeightError) as exc:
+            # OverflowError: float() of a JSON integer too large for a float;
+            # WeightError: merge weights that do not fit the route
             return _error("bad_request", str(exc))
         except (KeyError, TypeError, ValueError, OSError,
                 BenchError, adapterio.FormatError) as exc:

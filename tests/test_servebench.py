@@ -3,6 +3,7 @@ import socket
 import statistics
 import struct
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -615,3 +616,76 @@ def test_in_process_query_vector_must_be_flat_numbers(assets, vector):
     registry.register(paths[0])
     with pytest.raises(BenchError, match="1-D list of numbers"):
         registry.query(vector(dataset.keys.data[0].tolist()), 1, None)
+
+
+
+@pytest.mark.parametrize("request_, key", [
+    ({"op": "query", "top_n": 2, "topn": 3}, "topn"),
+    ({"op": "query", "top_n": 3, "merge": {"method": "ties",
+                                           "desnity": 0.3}}, "desnity"),
+    ({"op": "register", "force": True}, "force"),
+    ({"op": "stats", "verbose": 1}, "verbose"),
+])
+def test_unknown_key_is_bad_request_naming_it(assets, loaded_server,
+                                              request_, key):
+    srv, dataset = loaded_server
+    if request_["op"] == "query":
+        request_ = {**request_, "vector": dataset.keys.data[0].tolist()}
+    if request_["op"] == "register":
+        request_ = {**request_, "path": str(assets[1][0])}
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps(request_) + "\n").encode())
+        error = json.loads(fh.readline())["error"]
+        assert error["code"] == "bad_request"
+        assert repr(key) in error["message"]
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["adapters"] == 9
+
+
+@pytest.mark.parametrize("weights", [
+    [0.5, 0.5], [1.5, -0.25, -0.25], [0.2, 0.2, 0.2],
+])
+def test_weights_that_do_not_fit_the_route_are_bad_request(loaded_server,
+                                                          weights):
+    srv, dataset = loaded_server
+    reply = request_line("127.0.0.1", srv.port, {
+        "op": "query", "vector": dataset.keys.data[0].tolist(), "top_n": 3,
+        "merge": {"method": "linear", "weights": weights}})
+    assert reply["error"]["code"] == "bad_request"
+    assert "weights" in reply["error"]["message"]
+
+
+@pytest.mark.parametrize("entry", [1e158, 1e307])
+def test_query_whose_norm_overflows_is_rejected_without_warning(assets,
+                                                               entry):
+    dataset, paths, single_path, cfg = assets
+    registry = AdapterRegistry()
+    for path in paths:
+        registry.register(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BenchError, match="norm"):
+            registry.query([entry] * dataset.d_in, 3, None)
+
+
+def test_query_whose_logits_overflow_is_rejected_without_warning(assets,
+                                                                tmp_path):
+    dataset, paths, single_path, cfg = assets
+    # alpha 1e200 makes a finite delta of about 1e200, and a query of norm
+    # about 1e121 takes its logits past float64
+    rank = 1
+    huge = adapterio.Adapter(
+        name="huge", targets={"memory": adapterio.LowRankPair(
+            a=Matrix(np.ones((rank, dataset.d_in))),
+            b=Matrix(np.ones((memlab.D_OUT, rank))), alpha=1e200,
+            rank=rank)},
+        metadata={"seed": str(cfg.seed), "d_in": str(dataset.d_in),
+                  "centroid": json.dumps([1.0] + [0.0] * (dataset.d_in - 1))})
+    adapterio.save(huge, tmp_path / "huge.lmem")
+    registry = AdapterRegistry()
+    registry.register(tmp_path / "huge.lmem")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BenchError, match="logits"):
+            registry.query([1e120] * dataset.d_in, 1, None)
