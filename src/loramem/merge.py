@@ -67,7 +67,7 @@ class MergeSpec:
             raise MergeError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
 
 
-def _check_weights(weights, n: int) -> np.ndarray:
+def check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise WeightError(f"got {w.size} weights for {n} adapters")
@@ -109,10 +109,10 @@ def _shared_targets(adapters) -> list[str]:
 class _Rows(NamedTuple):
     """Views of the workspace for one target of shape (d_out, d_in)."""
 
-    acc: np.ndarray         # a weighted sum, then the elected signs
-    num: np.ndarray
+    acc: np.ndarray         # a weighted sum, then the TIES numerator
+    num: np.ndarray         # the elected signs
     den: np.ndarray
-    tmp: np.ndarray
+    tmp: np.ndarray         # a product, or the TIES agreement as 0 or 1
     mask: np.ndarray        # bool
     flags: np.ndarray       # bool
     deltas: list[np.ndarray]    # one per adapter
@@ -185,7 +185,7 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
     target_ids = _shared_targets(adapters)
     if weights is None:
         weights = [1.0 / len(adapters)] * len(adapters)
-    w = _check_weights(weights, len(adapters))
+    w = check_weights(weights, len(adapters))
     adapters, w = _canonical_order(adapters, w)
     if drop_rate:
         rescale = 1.0 / (1.0 - drop_rate)
@@ -240,10 +240,11 @@ def _trim_mask(dense: np.ndarray, density: float, *, out=None, ties=None,
                mag=None, part=None) -> np.ndarray:
     """Mask of the ceil(density * n) entries of largest |value|; at the
     cutoff magnitude, earlier row-major entries win, as in a stable sort.
-    A selection finds the cutoff, entries above it are kept, and the first
-    entries equal to it fill the remaining places. The keyword arguments
-    are buffers of dense's shape to work in (bool for `out` and `ties`,
-    float64 for `mag` and `part`); missing ones are allocated."""
+    A selection finds the cutoff and every entry at or above it is kept;
+    when more entries equal the cutoff than places remain, the last of
+    them are dropped. The keyword arguments are buffers of dense's shape to
+    work in (bool for `out` and `ties`, float64 for `mag` and `part`);
+    missing ones are allocated."""
     keep = math.ceil(density * dense.size)
     if out is None:
         out = np.empty(dense.shape, dtype=bool)
@@ -252,11 +253,14 @@ def _trim_mask(dense: np.ndarray, density: float, *, out=None, ties=None,
         return out
     mag = np.abs(dense, out=mag)
     flat = np.abs(dense, out=part).reshape(-1)
-    flat.partition(dense.size - keep)
+    # magnitudes are non-negative, so their bit patterns order as their
+    # values do, and a selection over int64 takes about 0.6x the time
+    flat.view(np.int64).partition(dense.size - keep)
     cutoff = flat[dense.size - keep]
-    np.greater(mag, cutoff, out=out)
-    tied = np.flatnonzero(np.equal(mag, cutoff, out=ties))
-    np.put(out, tied[:keep - np.count_nonzero(out)], True)
+    extra = np.count_nonzero(np.greater_equal(mag, cutoff, out=out)) - keep
+    if extra:
+        tied = np.flatnonzero(np.equal(mag, cutoff, out=ties))
+        np.put(out, tied[len(tied) - extra:], False)
     return out
 
 
@@ -265,23 +269,30 @@ def _ties_combine(rows: _Rows, w: np.ndarray, density: float) -> np.ndarray:
     renormalized mean of agreeing survivors. A survivor agrees when its
     product with the elected sign, which is -1, 0 or 1 and so exact, is
     positive. Dropped negative entries become -0.0, which no output byte
-    shows: sums from +0.0 never end at -0.0, and where no weight agrees
-    the numerator is such a sum, +0.0, which the divide leaves in place."""
-    for d in rows.deltas:
-        d *= _trim_mask(d, density, out=rows.mask, ties=rows.flags,
-                        mag=rows.num, part=rows.den)
-    elected = np.sign(_weighted_sum(rows, w), out=rows.acc)
-    num, den, tmp, agree = rows.num, rows.den, rows.tmp, rows.mask
+    shows: sums from +0.0 never end at -0.0, and where no weight agrees the
+    numerator is such a sum, +0.0, and the denominator, 0 there, is taken
+    as 1.
+
+    The elected signs go to another row and the divide is unmasked, because
+    `np.sign` in place and `np.divide(where=)` each took several times a
+    plain pass at 100x256; agreement is held as float 0 or 1, because a
+    float-by-bool product took twice a float-by-float one."""
+    if density < 1.0:           # at density 1 the mask keeps every entry
+        for d in rows.deltas:
+            d *= _trim_mask(d, density, out=rows.mask, ties=rows.flags,
+                            mag=rows.num, part=rows.den)
+    elected = np.sign(_weighted_sum(rows, w), out=rows.num)
+    num, den, agree = rows.acc, rows.den, rows.tmp
     num.fill(0.0)
     den.fill(0.0)
     for wi, d in zip(w, rows.deltas):
-        np.greater(np.multiply(d, elected, out=tmp), 0.0, out=agree)
-        np.multiply(d, wi, out=tmp)
-        tmp *= agree
-        num += tmp
-        den += np.multiply(agree, wi, out=tmp)
-    return np.divide(num, den, out=num,
-                     where=np.greater(den, 0.0, out=rows.flags))
+        np.greater(np.multiply(d, elected, out=agree), 0.0, out=agree)
+        d *= wi
+        d *= agree
+        num += d
+        den += np.multiply(agree, wi, out=agree)
+    den += np.equal(den, 0.0, out=rows.flags)
+    return np.divide(num, den, out=num)
 
 
 def merge_ties(adapters: list[Adapter], weights: list[float] | None = None,

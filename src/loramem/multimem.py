@@ -139,10 +139,24 @@ class SystemReport:
 
 def compose(adapters: list[Adapter], spec: MergeSpec) -> np.ndarray:
     """Dense delta of a module selection: one module applies its own delta;
-    several are merged under `spec` and densified."""
+    several are merged under `spec` and densified. The result is a fresh
+    writable array that the caller owns, so it may add the base into it in
+    place; NonFiniteError if an entry is NaN or Inf."""
     if len(adapters) == 1:
-        return adapterio.delta(adapters[0].targets[TARGET_ID]).data
-    return merge_mod.merge(adapters, spec).densify(TARGET_ID).data
+        entry = adapters[0].targets[TARGET_ID]
+    else:
+        entry = merge_mod.merge(adapters, spec).targets[TARGET_ID]
+    if isinstance(entry, Matrix):
+        # a dense merge result; nothing else holds it
+        entry.data.flags.writeable = True
+        return entry.data
+    delta = adapterio.dense_product(entry)
+    # two reductions find a NaN or Inf without a temporary the delta's size
+    if not (np.isfinite(delta.min(initial=0.0))
+            and np.isfinite(delta.max(initial=0.0))):
+        raise matcore.NonFiniteError(
+            f"target {TARGET_ID!r}: delta has NaN or Inf entries")
+    return delta
 
 
 def _score(dataset: KvDataset, adapters: list[Adapter], w0: np.ndarray,
@@ -158,10 +172,11 @@ def _score(dataset: KvDataset, adapters: list[Adapter], w0: np.ndarray,
         key = tuple(sorted(chosen))
         if key not in weights:
             try:
-                weights[key] = w0 + compose([by_name[m] for m in key], spec)
+                delta = compose([by_name[m] for m in key], spec)
             except (merge_mod.MergeError, matcore.ShapeMismatchError) as exc:
                 raise ShardError(
                     f"query {i}: merge of {chosen} failed: {exc}") from exc
+            weights[key] = np.add(w0, delta, out=delta)
         hits += bool(memlab.exact_match(weights[key] @ dataset.keys.data[i],
                                         dataset.labels[i]))
     return hits / len(dataset)

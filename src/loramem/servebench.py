@@ -34,7 +34,8 @@ import numpy as np
 from . import adapterio, memlab, router
 from .adapterio import Adapter
 from .matcore import Matrix
-from .merge import MergeError, MergeMethod, MergeSpec, WeightError
+from .merge import (MergeError, MergeMethod, MergeSpec, WeightError,
+                    check_weights)
 from .multimem import TARGET_ID, compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
@@ -163,7 +164,7 @@ def _query(stages: _Stages, index: EmbeddingIndex, vec: np.ndarray,
     stages.lap("index_search")
     delta = compose(select([mid for mid, _ in ranked], stages), spec)
     stages.lap("lora_merge")
-    weight = w0 + delta
+    weight = np.add(w0, delta, out=delta)
     stages.lap("lora_activation")
     return ranked, weight
 
@@ -192,7 +193,8 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
             raise BenchError("single mode needs single_adapter_path")
         adapter = _load_adapter(scenario.single_adapter_path, read_counts)
         setup.lap("lora_loading")
-        weight = w0 + compose([adapter], scenario.merge_spec)
+        delta = compose([adapter], scenario.merge_spec)
+        weight = np.add(w0, delta, out=delta)
         setup.lap("lora_activation")
     elif mode == Mode.PRELOADED:
         loaded = [_load_adapter(p, read_counts) for p in scenario.adapter_paths]
@@ -377,6 +379,12 @@ class AdapterRegistry:
         unknown = [m for m in modules or () if m not in state.adapters]
         if unknown:
             raise BenchError(f"unknown adapter id(s): {unknown}")
+        if spec.weights is not None:
+            # weights that no merge would read are refused, not ignored
+            if spec.method == MergeMethod.CAT:
+                raise WeightError("weights do not apply to cat")
+            check_weights(spec.weights, len(modules) if modules
+                          else min(top_n, len(state.adapters)))
         stages = _Stages()
         ranked, weight = _query(
             stages, state.index, vec, top_n,
@@ -544,6 +552,8 @@ class _Handler(socketserver.StreamRequestHandler):
                     _field(request, "path", _REQUIRED, _is_str, "a string"))
                 return {"ok": True, "adapters": count}
             if op == "query":
+                if "modules" in request and "top_n" in request:
+                    raise BadRequest("give modules or top_n, not both")
                 result = registry.query(
                     vector=_field(request, "vector", _REQUIRED,
                                   _is_number_list, "a list of numbers"),

@@ -199,3 +199,41 @@ def test_interference_rejects_bad_range(dataset, train_cfg, shard_setup):
         interference_sweep(dataset, adapters, oracle_config(train_cfg), [0])
     with pytest.raises(ShardError):
         interference_sweep(dataset, adapters, oracle_config(train_cfg), [9])
+
+
+@pytest.mark.parametrize("method", list(MergeMethod))
+def test_compose_owns_its_array_and_merge_results_stay_read_only(method,
+                                                                 tmp_path):
+    from loramem import merge
+    from loramem.adapterio import Adapter, LowRankPair
+    from loramem.matcore import Matrix, Rng
+
+    rng = Rng(23)
+    adapters = [Adapter(name=f"m{i}", targets={
+        multimem.TARGET_ID: LowRankPair(
+            a=Matrix(rng.gaussian(4 * 64).reshape(4, 64)),
+            b=Matrix(rng.gaussian(20 * 4).reshape(20, 4)),
+            alpha=4.0, rank=4)}) for i in range(3)]
+    spec = MergeSpec(method=method, density=0.5, drop_rate=0.3, seed=1) \
+        if method.value.startswith("dare") else \
+        MergeSpec(method=method, density=0.5)
+    merged = merge.merge(adapters, spec)
+    kept = merged.targets[multimem.TARGET_ID]
+    kept_data = kept.data if isinstance(kept, Matrix) else kept.a.data
+    before = kept_data.tobytes()
+    adapterio.save_merged("before", merged, tmp_path / "before.lmem")
+
+    for selection in (adapters, adapters[:1]):
+        delta = multimem.compose(selection, spec)
+        assert delta.flags.writeable and delta.flags.owndata
+        delta += 1.0
+
+    dense = merged.densify(multimem.TARGET_ID).data
+    assert not kept_data.flags.writeable and not dense.flags.writeable
+    with pytest.raises(ValueError):
+        dense[0, 0] = 0.0
+    assert kept_data.tobytes() == before
+    adapterio.save_merged("before", merged, tmp_path / "after.lmem")
+    assert (tmp_path / "after.lmem").read_bytes() == \
+        (tmp_path / "before.lmem").read_bytes()
+    assert multimem.compose(adapters, spec).tobytes() == dense.tobytes()

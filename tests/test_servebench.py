@@ -689,3 +689,112 @@ def test_query_whose_logits_overflow_is_rejected_without_warning(assets,
         warnings.simplefilter("error")
         with pytest.raises(BenchError, match="logits"):
             registry.query([1e120] * dataset.d_in, 1, None)
+
+
+@pytest.mark.parametrize("top_n, merge", [
+    (1, {"method": "linear", "weights": [5, -4]}),
+    (1, {"method": "ties", "weights": [0.5, 0.5]}),
+    (3, {"method": "cat", "weights": [5, -4]}),
+    (3, {"method": "cat", "weights": [0.25, 0.25, 0.5]}),
+])
+def test_weights_no_merge_would_read_are_bad_request(loaded_server, top_n,
+                                                     merge):
+    srv, dataset = loaded_server
+    reply = request_line("127.0.0.1", srv.port, {
+        "op": "query", "vector": dataset.keys.data[0].tolist(),
+        "top_n": top_n, "merge": merge})
+    assert reply["error"]["code"] == "bad_request"
+    assert "weights" in reply["error"]["message"]
+
+
+def test_weights_that_fit_a_one_module_route_are_served(loaded_server):
+    srv, dataset = loaded_server
+    query = {"op": "query", "vector": dataset.keys.data[0].tolist(),
+             "top_n": 1}
+    plain = request_line("127.0.0.1", srv.port, query)
+    weighted = request_line("127.0.0.1", srv.port, {
+        **query, "merge": {"method": "linear", "weights": [1.0]}})
+    assert weighted["em_logits_digest"] == plain["em_logits_digest"]
+
+
+def test_modules_with_top_n_is_bad_request_naming_both(loaded_server):
+    srv, dataset = loaded_server
+    with socket.create_connection(("127.0.0.1", srv.port), timeout=10) as conn:
+        fh = conn.makefile("r", encoding="utf-8")
+        conn.sendall((json.dumps({
+            "op": "query", "vector": dataset.keys.data[0].tolist(),
+            "top_n": 2, "modules": ["shard_000"]}) + "\n").encode())
+        error = json.loads(fh.readline())["error"]
+        assert error["code"] == "bad_request"
+        assert "modules" in error["message"] and "top_n" in error["message"]
+        conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+        assert json.loads(fh.readline())["ok"]
+
+
+def test_overflowing_delta_is_non_finite_error_and_connection_serves(
+        assets, tmp_path):
+    dataset, paths, single_path, cfg = assets
+    # float32 factors of 1e5 and alpha 1e300 give a dense delta past float64
+    huge = adapterio.Adapter(
+        name="huge", targets={"memory": adapterio.LowRankPair(
+            a=Matrix(np.full((1, dataset.d_in), 1e5)),
+            b=Matrix(np.full((memlab.D_OUT, 1), 1e5)), alpha=1e300, rank=1)},
+        metadata={"seed": str(cfg.seed), "d_in": str(dataset.d_in),
+                  "centroid": json.dumps([1.0] + [0.0] * (dataset.d_in - 1))})
+    adapterio.save(huge, tmp_path / "huge.lmem")
+    srv, _ = serve_in_thread(ServeConfig(port=0))
+    try:
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as conn:
+            fh = conn.makefile("r", encoding="utf-8")
+
+            def ask(request):
+                conn.sendall((json.dumps(request) + "\n").encode())
+                return json.loads(fh.readline())
+
+            for path in [tmp_path / "huge.lmem", *paths[:2]]:
+                assert ask({"op": "register", "path": str(path)})["ok"]
+            toward_huge = [1.0] + [0.0] * (dataset.d_in - 1)
+            for top_n in (1, 3):
+                reply = ask({"op": "query", "vector": toward_huge,
+                             "top_n": top_n,
+                             "merge": {"method": "ties", "density": 0.3}})
+                assert reply["error"]["code"] == "NonFiniteError"
+            assert ask({"op": "stats"})["adapters"] == 3
+            reply = ask({"op": "query", "modules": ["shard_000"],
+                         "vector": dataset.keys.data[0].tolist()})
+            assert reply["ok"] and reply["route"] == [["shard_000", 1.0]]
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def test_warm_registry_query_allocates_one_weight_array(assets):
+    """A warm query's only large allocation is the weight w0 + delta
+    (100 x 256 float64, 200 KiB): the delta is composed into a fresh array
+    and the base is added into it in place."""
+    import tracemalloc
+
+    dataset, paths, single_path, cfg = assets
+    registry = AdapterRegistry()
+    for path in paths:
+        registry.register(path)
+    vector = dataset.keys.data[5].tolist()
+    cases = [(1, None), (3, {"method": "ties", "density": 0.3}),
+             (3, {"method": "dare-ties", "density": 0.3, "drop_rate": 0.3}),
+             (3, {"method": "linear"}), (3, {"method": "cat"})]
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        for top_n, merge in cases:
+            for _ in range(2):
+                registry.query(vector, top_n, merge)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            registry.query(vector, top_n, merge)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 300 * 1024, (top_n, merge, peak)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
