@@ -28,6 +28,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -294,21 +295,6 @@ def _check_geometry(adapter: Adapter, d_in: int, row: np.ndarray) -> None:
                          f"{row.shape[1]}, expected d_in={d_in}")
 
 
-def _query_vector(vector) -> np.ndarray:
-    """A query vector as float64; BenchError unless it is 1-D and numeric.
-    An integer beyond float range raises OverflowError, as float() does."""
-    try:
-        vec = np.asarray(vector)
-    except ValueError as exc:                   # ragged nesting
-        raise BenchError("query vector must be a 1-D list of numbers") \
-            from exc
-    # object arrays hold Python ints too large for int64, or non-numbers
-    if vec.ndim != 1 or not (vec.dtype.kind in "iuf" or vec.dtype.kind == "O"
-                             and all(map(_is_number, vec))):
-        raise BenchError("query vector must be a 1-D list of numbers")
-    return vec.astype(np.float64)
-
-
 class AdapterRegistry:
     """Preloading registry: register swaps an immutable snapshot under a
     lock; queries read the current snapshot without locking.
@@ -360,38 +346,42 @@ class AdapterRegistry:
     def snapshot(self) -> _RegistryState:
         return self._state
 
-    def query(self, vector: list[float], top_n: int,
-              merge_blob: dict | None,
-              modules: list[str] | None = None) -> dict:
+    def query(self, vector, top_n=None, merge=None, modules=None) -> dict:
+        """Each argument meets its request field's rule, None standing for
+        an absent field. `_dispatch` passes what `_parse` returned, whose
+        merge is a `_ParsedMerge`, so it is not parsed twice."""
+        if not isinstance(merge, _ParsedMerge):
+            given = zip(_OP_FIELDS["query"], (vector, top_n, merge, modules))
+            vector, top_n, merge, modules = _parse(
+                {name: value for name, value in given if value is not None},
+                _OP_FIELDS["query"], "request").values()
         state = self.snapshot()
         if not state.adapters:
             raise BenchError("no adapters registered")
-        vec = _query_vector(vector)
-        if not np.isfinite(vec).all():
+        if not np.isfinite(vector).all():
             raise BenchError("query vector has NaN or Inf entries")
         with np.errstate(over="ignore"):
-            if not np.isfinite(np.linalg.norm(vec)):
+            if not np.isfinite(np.linalg.norm(vector)):
                 raise BenchError("query vector norm overflows float64")
-        if vec.size != state.d_in:
+        if vector.size != state.d_in:
             raise BenchError(
-                f"query dimension {vec.size} != registry d_in {state.d_in}")
-        spec = _merge_spec_from(merge_blob)
+                f"query dimension {vector.size} != registry d_in {state.d_in}")
         unknown = [m for m in modules or () if m not in state.adapters]
         if unknown:
             raise BenchError(f"unknown adapter id(s): {unknown}")
-        if spec.weights is not None:
+        if merge.weights is not None:
             # weights that no merge would read are refused, not ignored
-            if spec.method == MergeMethod.CAT:
+            if merge.method == MergeMethod.CAT:
                 raise WeightError("weights do not apply to cat")
-            check_weights(spec.weights, len(modules) if modules
+            check_weights(merge.weights, len(modules) if modules
                           else min(top_n, len(state.adapters)))
         stages = _Stages()
         ranked, weight = _query(
-            stages, state.index, vec, top_n,
-            lambda chosen, _: [state.adapters[m] for m in chosen], spec,
+            stages, state.index, vector, top_n,
+            lambda chosen, _: [state.adapters[m] for m in chosen], merge,
             state.w0, modules)
         with np.errstate(over="ignore", invalid="ignore"):
-            logits = weight @ vec
+            logits = weight @ vector
         if not np.isfinite(logits).all():
             raise BenchError("query logits are not finite")
         digest = hashlib.sha256(
@@ -417,7 +407,7 @@ class AdapterRegistry:
 
 
 class BadRequest(BenchError):
-    """A request field of the wrong JSON type; the reply code is
+    """A request that breaks a rule of its fields' table; the reply code is
     `bad_request`."""
 
 
@@ -449,57 +439,83 @@ def _is_module_list(value) -> bool:
 
 _REQUIRED = object()
 
-# The keys each op, and a query's merge object, accept.
-_OP_KEYS = {"register": {"op", "path"},
-            "query": {"op", "vector", "top_n", "merge", "modules"},
-            "stats": {"op"}}
-_MERGE_KEYS = {"method", "weights", "density", "drop_rate", "seed"}
+
+class _Field(NamedTuple):
+    """A request field: its value when absent, its check and what that
+    wants, how a passing value is read, the field it may not come with."""
+
+    default: object
+    check: Callable[[object], bool]
+    wants: str
+    read: Callable[[object], object] = lambda value: value
+    excludes: str | None = None
 
 
-def _known_keys(blob: dict, keys: set, where: str) -> None:
-    """BadRequest naming the first key of blob that is not in keys."""
+class _ParsedMerge(MergeSpec):
+    """A merge object as `_parse` reads it; marks a parsed query."""
+
+
+def _parse(blob: dict, fields: dict[str, _Field], where: str) -> dict:
+    """Each field of blob read, or its default. BadRequest for the first
+    unknown key, else two fields that exclude each other, else the first
+    absent required field, else the first value its check refuses."""
     for name in blob:
-        if name not in keys:
+        if name not in fields:
             raise BadRequest(f"unknown key {name!r} in {where}")
-
-
-def _field(blob: dict, name: str, default, valid, what: str):
-    """blob[name], or default when it is absent; BadRequest when the value
-    fails `valid` or a `_REQUIRED` field is absent. No value is coerced."""
-    if name not in blob:
-        if default is _REQUIRED:
+    for name, spec in fields.items():
+        if name in blob and spec.excludes in blob:
+            raise BadRequest(f"give {name} or {spec.excludes}, not both")
+    for name, spec in fields.items():
+        if spec.default is _REQUIRED and name not in blob:
             raise BadRequest(f"{name} is required")
-        return default
-    value = blob[name]
-    if not valid(value):
-        raise BadRequest(f"{name} must be {what}")
-    return value
+    parsed = {}
+    for name, spec in fields.items():
+        if name not in blob:
+            parsed[name] = spec.default
+        elif spec.check(blob[name]):
+            parsed[name] = spec.read(blob[name])
+        else:
+            raise BadRequest(f"{name} must be {spec.wants}")
+    return parsed
 
 
 def _is_method(value) -> bool:
     return _is_str(value) and value in {m.value for m in MergeMethod}
 
 
-def _merge_spec_from(blob: dict | None) -> MergeSpec:
-    if not blob:
-        return MergeSpec(method=MergeMethod.TIES)
-    _known_keys(blob, _MERGE_KEYS, "merge")
-    weights = _field(blob, "weights", None, _is_number_list,
-                     "a list of numbers")
-    method = _field(blob, "method", "ties", _is_method,
-                    "one of " + ", ".join(m.value for m in MergeMethod))
+def _merge_spec(blob: dict | None) -> MergeSpec:
     try:
-        return MergeSpec(
-            method=MergeMethod(method),
-            weights=tuple(weights) if weights else None,
-            density=float(_field(blob, "density", 1.0, _is_number,
-                                 "a number")),
-            drop_rate=float(_field(blob, "drop_rate", 0.0, _is_number,
-                                   "a number")),
-            seed=_field(blob, "seed", 0, _is_int, "an integer"),
-        )
+        return _ParsedMerge(**_parse(blob or {}, _MERGE_FIELDS, "merge"))
     except MergeError as exc:       # a density or drop_rate out of range
         raise BadRequest(str(exc)) from exc
+
+
+_MERGE_FIELDS = {
+    "weights": _Field(None, _is_number_list, "a list of numbers",
+                      lambda w: tuple(w) or None),
+    "method": _Field(MergeMethod.TIES, _is_method, "one of " + ", ".join(
+        m.value for m in MergeMethod), MergeMethod),
+    "density": _Field(1.0, _is_number, "a number", float),
+    "drop_rate": _Field(0.0, _is_number, "a number", float),
+    "seed": _Field(0, _is_int, "an integer"),
+}
+# The fields of each op besides `op`; `query` takes them in this order.
+_OP_FIELDS = {
+    # open() takes an integer as a file descriptor
+    "register": {"path": _Field(_REQUIRED, _is_str, "a string")},
+    "query": {
+        "vector": _Field(_REQUIRED, _is_number_list, "a 1-D list of numbers",
+                         lambda v: np.asarray(v, dtype=np.float64)),
+        "top_n": _Field(1, _is_top_n, "an integer >= 1"),
+        "merge": _Field(_merge_spec(None),
+                        lambda v: v is None or isinstance(v, dict),
+                        "a JSON object", _merge_spec),
+        "modules": _Field(None, _is_module_list,
+                          "a non-empty list of distinct strings",
+                          excludes="top_n"),
+    },
+    "stats": {},
+}
 
 
 # Longest request line the server reads, newline included; a query of 256
@@ -542,32 +558,14 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             if not isinstance(request, dict):
                 raise BadRequest("request must be a JSON object")
-            op = request.get("op")
-            if not isinstance(op, str) or op not in _OP_KEYS:
+            op = request.pop("op", None)
+            if not isinstance(op, str) or op not in _OP_FIELDS:
                 return _error("unknown_op", f"unknown op {op!r}")
-            _known_keys(request, _OP_KEYS[op], "request")
-            if op == "register":
-                # open() takes an integer as a file descriptor
-                count = registry.register(
-                    _field(request, "path", _REQUIRED, _is_str, "a string"))
-                return {"ok": True, "adapters": count}
-            if op == "query":
-                if "modules" in request and "top_n" in request:
-                    raise BadRequest("give modules or top_n, not both")
-                result = registry.query(
-                    vector=_field(request, "vector", _REQUIRED,
-                                  _is_number_list, "a list of numbers"),
-                    top_n=_field(request, "top_n", 1, _is_top_n,
-                                 "an integer >= 1"),
-                    merge_blob=_field(
-                        request, "merge", None,
-                        lambda v: v is None or isinstance(v, dict),
-                        "a JSON object"),
-                    modules=_field(request, "modules", None, _is_module_list,
-                                   "a non-empty list of distinct strings"),
-                )
-                return {"ok": True, **result}
-            return {"ok": True, **registry.stats()}
+            result = getattr(registry, op)(
+                **_parse(request, _OP_FIELDS[op], "request"))
+            # register answers with the adapter count
+            return {"ok": True,
+                    **({"adapters": result} if op == "register" else result)}
         except (BadRequest, OverflowError, WeightError) as exc:
             # OverflowError: float() of a JSON integer too large for a float;
             # WeightError: merge weights that do not fit the route
