@@ -231,7 +231,7 @@ class TrainConfig:
     init_stddev: float = 0.02
 
     def __post_init__(self):
-        for name in ("rank", "steps", "batch_size"):
+        for name in ("rank", "steps", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or \
                     not isinstance(value, numbers.Integral):

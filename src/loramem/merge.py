@@ -71,6 +71,8 @@ def check_weights(weights, n: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise WeightError(f"got {w.size} weights for {n} adapters")
+    if not np.isfinite(w).all():
+        raise WeightError(f"weights must be finite, got {w.tolist()}")
     if (w < 0).any():
         raise WeightError(f"weights must be non-negative, got {w.tolist()}")
     if abs(float(w.sum()) - 1.0) > 1e-9:

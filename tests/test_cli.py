@@ -136,6 +136,7 @@ def test_sweep_grid_typo_is_runtime_error(capsys, tmp_path):
     ({"ranks": [True]}, "rank"),
     ({"base": {"steps": 2.5}}, "steps"),
     ({"base": {"batch_size": 8.0}}, "batch_size"),
+    ({"ranks": [2], "seeds": [1.5, 1]}, "seed"),
 ])
 def test_sweep_non_integer_size_is_config_error(capsys, tmp_path, grid_blob,
                                                 field):
@@ -305,9 +306,11 @@ def test_serve_cli_subprocess(workdir, tmp_path):
     with socket.socket() as probe:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
+    src = str(Path(loramem.__file__).resolve().parent.parent)
     proc = subprocess.Popen(
         [sys.executable, "-m", "loramem", "serve", "--port", str(port),
          "--adapters", str(adapters_dir)],
+        env={**os.environ, "PYTHONPATH": src},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         reply = None

@@ -457,7 +457,7 @@ def test_config_rejects_non_finite_scalars(field, value):
         small_config(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["rank", "steps", "batch_size"])
+@pytest.mark.parametrize("field", ["rank", "steps", "batch_size", "seed"])
 @pytest.mark.parametrize("value", [2.5, 3.0, True, "8", np.float64(4.0)])
 def test_config_rejects_non_integer_sizes(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer"):

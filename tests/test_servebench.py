@@ -20,6 +20,7 @@ from loramem.servebench import (
     DuplicateAdapterError, Mode, RegistryServer, ServeConfig, request_line,
     run_bench, serve_in_thread,
 )
+from loramem.servebench import BadRequest
 
 
 @pytest.fixture(scope="module")
@@ -618,6 +619,20 @@ def test_in_process_query_vector_must_be_flat_numbers(assets, vector):
         registry.query(vector(dataset.keys.data[0].tolist()), 1, None)
 
 
+@pytest.mark.parametrize("args, names", [
+    ((0, None), ["top_n"]), ((True, None), ["top_n"]),
+    ((2, None, ["shard_000"]), ["modules", "top_n"]),
+    ((None, None, "shard_000"), ["modules"]),
+    ((None, "ties"), ["merge"]),
+])
+def test_in_process_query_meets_the_socket_rules(assets, args, names):
+    dataset, paths, single_path, cfg = assets
+    registry = AdapterRegistry()
+    registry.register(paths[0])
+    with pytest.raises(BadRequest) as caught:
+        registry.query(dataset.keys.data[0].tolist(), *args)
+    assert all(name in str(caught.value) for name in names)
+
 
 @pytest.mark.parametrize("request_, key", [
     ({"op": "query", "top_n": 2, "topn": 3}, "topn"),
@@ -645,6 +660,7 @@ def test_unknown_key_is_bad_request_naming_it(assets, loaded_server,
 
 @pytest.mark.parametrize("weights", [
     [0.5, 0.5], [1.5, -0.25, -0.25], [0.2, 0.2, 0.2],
+    [0.5, 0.5, float("nan")], [float("nan")] * 3,
 ])
 def test_weights_that_do_not_fit_the_route_are_bad_request(loaded_server,
                                                           weights):
@@ -694,6 +710,8 @@ def test_query_whose_logits_overflow_is_rejected_without_warning(assets,
 @pytest.mark.parametrize("top_n, merge", [
     (1, {"method": "linear", "weights": [5, -4]}),
     (1, {"method": "ties", "weights": [0.5, 0.5]}),
+    (1, {"method": "linear", "weights": [float("nan")]}),
+    (2, {"method": "linear", "weights": [0.5, float("nan")]}),
     (3, {"method": "cat", "weights": [5, -4]}),
     (3, {"method": "cat", "weights": [0.25, 0.25, 0.5]}),
 ])
