@@ -710,10 +710,10 @@ def test_query_whose_logits_overflow_is_rejected_without_warning(assets,
 @pytest.mark.parametrize("top_n, merge", [
     (1, {"method": "linear", "weights": [5, -4]}),
     (1, {"method": "ties", "weights": [0.5, 0.5]}),
-    (1, {"method": "linear", "weights": [float("nan")]}),
-    (2, {"method": "linear", "weights": [0.5, float("nan")]}),
     (3, {"method": "cat", "weights": [5, -4]}),
     (3, {"method": "cat", "weights": [0.25, 0.25, 0.5]}),
+    (1, {"method": "linear", "weights": [float("nan")]}),
+    (2, {"method": "linear", "weights": [0.5, float("nan")]}),
 ])
 def test_weights_no_merge_would_read_are_bad_request(loaded_server, top_n,
                                                      merge):
