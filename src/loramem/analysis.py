@@ -8,11 +8,13 @@ load is never interpolated: t_max is always one of the swept loads.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
 from . import adapterio, memlab
 from .adapterio import Adapter
+from .fields import _Field, _is_int, _is_number, _parse
 from .matcore import Rng
 from .memlab import KvDataset, TrainConfig
 
@@ -41,6 +43,8 @@ class SweepGrid:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
+        for rank, seed in itertools.product(self.ranks, self.seeds):
+            TrainConfig(rank=rank, seed=seed)   # judges them as for a cell
         for name in ("ranks", "loads"):
             values = getattr(self, name)
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -50,19 +54,42 @@ class SweepGrid:
 
     @classmethod
     def from_json(cls, blob: dict) -> "SweepGrid":
-        """Grid from its JSON config; `base` holds the TrainConfig fields
-        and is read by the caller. Any other key is rejected, so a typo
-        cannot silently run the default grid."""
-        unknown = set(blob).difference(("ranks", "loads", "seeds", "tau",
-                                        "base"))
-        if unknown:
-            raise ValueError(f"unknown grid key(s): {sorted(unknown)}")
-        return cls(
-            ranks=tuple(blob.get("ranks", DEFAULT_RANKS)),
-            loads=tuple(blob.get("loads", DEFAULT_LOADS)),
-            seeds=tuple(blob.get("seeds", DEFAULT_SEEDS)),
-            tau=float(blob.get("tau", DEFAULT_TAU)),
-        )
+        """The grid of a grid JSON object (`read_grid` also reads base)."""
+        return read_grid(blob)[0]
+
+
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+# The grid decides each cell's rank and alpha, so `base` takes neither.
+_BASE_FIELDS = {
+    "learning_rate": _Field(TrainConfig.learning_rate, _is_number, "a number"),
+    "steps": _Field(TrainConfig.steps, _is_int, "an integer"),
+    "batch_size": _Field(TrainConfig.batch_size, _is_int, "an integer"),
+    "seed": _Field(TrainConfig.seed, _is_int, "an integer"),
+    "init_stddev": _Field(TrainConfig.init_stddev, _is_number, "a number"),
+}
+_GRID_FIELDS = {
+    "ranks": _Field(DEFAULT_RANKS, _is_list, "a list", tuple),
+    "loads": _Field(DEFAULT_LOADS, lambda v: _is_list(v) and all(
+        map(_is_int, v)), "a list of integers", tuple),
+    "seeds": _Field(DEFAULT_SEEDS, _is_list, "a list", tuple),
+    "tau": _Field(DEFAULT_TAU, _is_number, "a number", float),
+    "base": _Field(TrainConfig(), lambda v: isinstance(v, dict),
+                   "a JSON object", lambda v: TrainConfig(
+                       **_parse(v, _BASE_FIELDS, "base", ValueError))),
+}
+
+
+def read_grid(blob) -> tuple[SweepGrid, TrainConfig]:
+    """The grid and base training config of a grid JSON object; an unknown
+    key is an error, so a typo cannot silently run the default grid."""
+    if not isinstance(blob, dict):
+        raise ValueError("grid must be a JSON object")
+    grid = _parse(blob, _GRID_FIELDS, "grid", ValueError)
+    base = grid.pop("base")
+    return SweepGrid(**grid), base
 
 
 @dataclass

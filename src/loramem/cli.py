@@ -155,8 +155,7 @@ def _cmd_lab_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.grid, encoding="utf-8") as fh:
         blob = json.load(fh)
-    grid = analysis.SweepGrid.from_json(blob)
-    base = TrainConfig(**blob.get("base", {}))
+    grid, base = analysis.read_grid(blob)
     progress = None
     if args.verbose:
         def progress(rank, load, seed, em):

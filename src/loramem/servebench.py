@@ -28,12 +28,13 @@ import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import adapterio, memlab, router
 from .adapterio import Adapter
+from .fields import (_REQUIRED, _Field, _is_int, _is_number,
+                     _is_number_list, _is_str, _parse)
 from .matcore import Matrix
 from .merge import (MergeError, MergeMethod, MergeSpec, WeightError,
                     check_weights)
@@ -354,7 +355,7 @@ class AdapterRegistry:
             given = zip(_OP_FIELDS["query"], (vector, top_n, merge, modules))
             vector, top_n, merge, modules = _parse(
                 {name: value for name, value in given if value is not None},
-                _OP_FIELDS["query"], "request").values()
+                _OP_FIELDS["query"], "request", BadRequest).values()
         state = self.snapshot()
         if not state.adapters:
             raise BenchError("no adapters registered")
@@ -411,22 +412,6 @@ class BadRequest(BenchError):
     `bad_request`."""
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_number_list(value) -> bool:
-    return isinstance(value, list) and set(map(type, value)) <= {int, float}
-
-
 def _is_top_n(value) -> bool:
     return _is_int(value) and value >= 1
 
@@ -437,46 +422,8 @@ def _is_module_list(value) -> bool:
             and len(set(value)) == len(value))
 
 
-_REQUIRED = object()
-
-
-class _Field(NamedTuple):
-    """A request field: its value when absent, its check and what that
-    wants, how a passing value is read, the field it may not come with."""
-
-    default: object
-    check: Callable[[object], bool]
-    wants: str
-    read: Callable[[object], object] = lambda value: value
-    excludes: str | None = None
-
-
 class _ParsedMerge(MergeSpec):
     """A merge object as `_parse` reads it; marks a parsed query."""
-
-
-def _parse(blob: dict, fields: dict[str, _Field], where: str) -> dict:
-    """Each field of blob read, or its default. BadRequest for the first
-    unknown key, else two fields that exclude each other, else the first
-    absent required field, else the first value its check refuses."""
-    for name in blob:
-        if name not in fields:
-            raise BadRequest(f"unknown key {name!r} in {where}")
-    for name, spec in fields.items():
-        if name in blob and spec.excludes in blob:
-            raise BadRequest(f"give {name} or {spec.excludes}, not both")
-    for name, spec in fields.items():
-        if spec.default is _REQUIRED and name not in blob:
-            raise BadRequest(f"{name} is required")
-    parsed = {}
-    for name, spec in fields.items():
-        if name not in blob:
-            parsed[name] = spec.default
-        elif spec.check(blob[name]):
-            parsed[name] = spec.read(blob[name])
-        else:
-            raise BadRequest(f"{name} must be {spec.wants}")
-    return parsed
 
 
 def _is_method(value) -> bool:
@@ -485,7 +432,8 @@ def _is_method(value) -> bool:
 
 def _merge_spec(blob: dict | None) -> MergeSpec:
     try:
-        return _ParsedMerge(**_parse(blob or {}, _MERGE_FIELDS, "merge"))
+        return _ParsedMerge(
+            **_parse(blob or {}, _MERGE_FIELDS, "merge", BadRequest))
     except MergeError as exc:       # a density or drop_rate out of range
         raise BadRequest(str(exc)) from exc
 
@@ -562,7 +510,7 @@ class _Handler(socketserver.StreamRequestHandler):
             if not isinstance(op, str) or op not in _OP_FIELDS:
                 return _error("unknown_op", f"unknown op {op!r}")
             result = getattr(registry, op)(
-                **_parse(request, _OP_FIELDS[op], "request"))
+                **_parse(request, _OP_FIELDS[op], "request", BadRequest))
             # register answers with the adapter count
             return {"ok": True,
                     **({"adapters": result} if op == "register" else result)}
