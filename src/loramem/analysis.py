@@ -49,6 +49,8 @@ class SweepGrid:
             values = getattr(self, name)
             if any(b <= a for a, b in zip(values, values[1:])):
                 raise ValueError(f"{name} must be strictly increasing")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must be distinct")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 

@@ -39,7 +39,8 @@ def _parse(blob: dict, fields: dict[str, _Field], where: str,
            error: type[Exception]) -> dict:
     """Each field of blob read, or its default. `error` for the first
     unknown key, else two fields that exclude each other, else the first
-    absent required field, else the first value its check refuses."""
+    absent required field, else the first value its check refuses or its
+    read cannot hold in a float."""
     for name in blob:
         if name not in fields:
             raise error(f"unknown key {name!r} in {where}")
@@ -54,7 +55,11 @@ def _parse(blob: dict, fields: dict[str, _Field], where: str,
         if name not in blob:
             parsed[name] = spec.default
         elif spec.check(blob[name]):
-            parsed[name] = spec.read(blob[name])
+            try:
+                parsed[name] = spec.read(blob[name])
+            except OverflowError:   # a JSON integer too large for a float
+                raise error(f"{name} must be {spec.wants} within float "
+                            f"range") from None
         else:
             raise error(f"{name} must be {spec.wants}")
     return parsed

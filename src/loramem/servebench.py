@@ -440,7 +440,7 @@ def _merge_spec(blob: dict | None) -> MergeSpec:
 
 _MERGE_FIELDS = {
     "weights": _Field(None, _is_number_list, "a list of numbers",
-                      lambda w: tuple(w) or None),
+                      lambda w: tuple(map(float, w))),
     "method": _Field(MergeMethod.TIES, _is_method, "one of " + ", ".join(
         m.value for m in MergeMethod), MergeMethod),
     "density": _Field(1.0, _is_number, "a number", float),
@@ -514,8 +514,7 @@ class _Handler(socketserver.StreamRequestHandler):
             # register answers with the adapter count
             return {"ok": True,
                     **({"adapters": result} if op == "register" else result)}
-        except (BadRequest, OverflowError, WeightError) as exc:
-            # OverflowError: float() of a JSON integer too large for a float;
+        except (BadRequest, WeightError) as exc:
             # WeightError: merge weights that do not fit the route
             return _error("bad_request", str(exc))
         except (KeyError, TypeError, ValueError, OSError,

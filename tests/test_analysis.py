@@ -27,6 +27,8 @@ def test_grid_validation():
         SweepGrid(ranks=(4, 2))
     with pytest.raises(ValueError):
         SweepGrid(tau=0.0)
+    with pytest.raises(ValueError, match="seeds"):
+        SweepGrid(seeds=(1, 2, 1))
 
 
 def test_grid_json_rejects_unknown_keys():

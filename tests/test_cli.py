@@ -151,6 +151,33 @@ def test_sweep_non_integer_size_is_config_error(capsys, tmp_path, grid_blob,
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("grid_blob, field", [
+    ({"tau": "0.9"}, "tau"), ({"tau": True}, "tau"),
+    ({"tau": 10**400}, "tau"), ({"seeds": [1, 1]}, "seeds"),
+    ({"base": {"rank": 4}}, "rank"), ({"base": {"alpha": True}}, "alpha"),
+    ({"loads": [16.5]}, "loads"), ({"loads": ["16"]}, "loads"),
+    ({"base": {"learning_rate": "x"}}, "learning_rate"),
+    ({"ranks": [2, 2.5]}, "rank"), ({"seeds": [1, 1.5]}, "seed"),
+    ({"ranks": ["4", 2]}, "rank"), ({"ranks": "24"}, "ranks"),
+    ({"base": [1]}, "base"), ([1, 2], "grid"),
+])
+def test_sweep_grid_error_names_its_field_before_any_cell(capsys, tmp_path,
+                                                          grid_blob, field):
+    if isinstance(grid_blob, dict):
+        grid_blob = {"ranks": [2], "loads": [16], "seeds": [1],
+                     "base": {"steps": 5}, **grid_blob}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(grid_blob))
+    code, _, err = run_cli(capsys, "sweep", "--grid", str(grid), "--verbose",
+                           "--out", str(tmp_path / "r.csv"),
+                           "--efficiency-out", str(tmp_path / "e.csv"))
+    assert code == 1
+    assert err.startswith("loramem: error[runtime]:")
+    assert field in err[len("loramem: error[runtime]:"):]
+    assert "cell " not in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("sig, ignore_sigint", [
     (signal.SIGINT, True),    # inherited as ignored, as in a shell's job
     (signal.SIGTERM, False),

@@ -610,6 +610,7 @@ def test_merge_field_out_of_range_is_bad_request_naming_it(
 @pytest.mark.parametrize("vector", [
     lambda v: [str(x) for x in v], lambda v: [v], lambda v: [True] * len(v),
     lambda v: [v[:2], v[2:3]], lambda v: "abc", lambda v: [None] * len(v),
+    lambda v: [10**400] + v[1:],
 ])
 def test_in_process_query_vector_must_be_flat_numbers(assets, vector):
     dataset, paths, single_path, cfg = assets
@@ -624,6 +625,9 @@ def test_in_process_query_vector_must_be_flat_numbers(assets, vector):
     ((2, None, ["shard_000"]), ["modules", "top_n"]),
     ((None, None, "shard_000"), ["modules"]),
     ((None, "ties"), ["merge"]),
+    ((2, {"method": "linear", "weights": [10**400, 1]}), ["weights"]),
+    ((None, {"density": 10**400}), ["density"]),
+    ((None, {"drop_rate": 10**400}), ["drop_rate"]),
 ])
 def test_in_process_query_meets_the_socket_rules(assets, args, names):
     dataset, paths, single_path, cfg = assets
@@ -660,7 +664,7 @@ def test_unknown_key_is_bad_request_naming_it(assets, loaded_server,
 
 @pytest.mark.parametrize("weights", [
     [0.5, 0.5], [1.5, -0.25, -0.25], [0.2, 0.2, 0.2],
-    [0.5, 0.5, float("nan")], [float("nan")] * 3,
+    [0.5, 0.5, float("nan")], [float("nan")] * 3, [],
 ])
 def test_weights_that_do_not_fit_the_route_are_bad_request(loaded_server,
                                                           weights):
@@ -714,6 +718,7 @@ def test_query_whose_logits_overflow_is_rejected_without_warning(assets,
     (3, {"method": "cat", "weights": [0.25, 0.25, 0.5]}),
     (1, {"method": "linear", "weights": [float("nan")]}),
     (2, {"method": "linear", "weights": [0.5, float("nan")]}),
+    (3, {"method": "cat", "weights": []}),
 ])
 def test_weights_no_merge_would_read_are_bad_request(loaded_server, top_n,
                                                      merge):
