@@ -43,8 +43,9 @@ class SweepGrid:
             values = getattr(self, name)
             if not values:
                 raise ValueError(f"{name} must be non-empty")
+        # a cell's config judges its rank and seed before they are compared
         for rank, seed in itertools.product(self.ranks, self.seeds):
-            TrainConfig(rank=rank, seed=seed)   # judges them as for a cell
+            TrainConfig(rank=rank, seed=seed)
         for name in ("ranks", "loads"):
             values = getattr(self, name)
             if any(b <= a for a, b in zip(values, values[1:])):
