@@ -14,6 +14,7 @@ monotone token count, so subword tokenization is deliberately out of scope.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import numbers
 import re
@@ -285,11 +286,30 @@ def frozen_base(seed: int, d_in: int = D_IN_DEFAULT) -> Matrix:
 
 # Offset of each digit position's 10-way block within a row of logits.
 _POSITION_OFFSETS = np.arange(N_POSITIONS) * 10
+# Words per array of a batch-schedule chunk: 64 KiB, the Rng.bernoulli rule,
+# so each chunk's arrays are reused heap memory rather than fresh pages.
+_SCHEDULE_CHUNK = matcore._BERNOULLI_CHUNK
+
+
+class _StepBuffers:
+    """The arrays of one forward/backward step over leading shape lead
+    (a stack of problems, or none) with m records at the given rank."""
+
+    def __init__(self, lead: tuple, m: int, rank: int, d_in: int):
+        self.p = np.empty((*lead, m, rank))     # keys @ a.T, then g @ b
+        self.z = np.empty((*lead, m, D_OUT))
+        self.exp = np.empty((*lead, m, N_POSITIONS, 10))
+        self.top = np.empty((*lead, m, N_POSITIONS, 1))
+        self.total = np.empty((*lead, m, N_POSITIONS, 1))
+        self.nll = np.empty((*lead, m, N_POSITIONS))
+        self.grad_a = np.empty((*lead, rank, d_in))
+        self.grad_b = np.empty((*lead, D_OUT, rank))
 
 
 def _forward_grads(base_logits: np.ndarray, keys: np.ndarray,
                    picks: np.ndarray, a: np.ndarray, b: np.ndarray,
-                   s: float):
+                   s: float, buffers: _StepBuffers | None = None,
+                   loss: np.ndarray | None = None):
     """Loss (sum over records) and exact grads wrt a and b.
 
     Takes one problem, shaped (m, ·), or a stack of S problems of equal
@@ -299,24 +319,42 @@ def _forward_grads(base_logits: np.ndarray, keys: np.ndarray,
     each position (see _label_picks). Loss per record is the sum over the
     10 digit positions of the softmax cross-entropy on that position's
     10-way block.
+
+    The step works in `buffers` and writes the loss into `loss` when they
+    are given, so a training loop reuses one set of arrays; the grads
+    returned are the buffers' arrays. Overflow means the run is diverging,
+    which the caller reads from the loss, so the caller silences numpy's
+    over and invalid warnings.
     """
-    # overflow here means the run is diverging; the caller detects that via
-    # the finite check on the loss, so silence numpy's warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = keys @ a.swapaxes(-1, -2)                    # (…, m, r)
-        z = base_logits + s * (p @ b.swapaxes(-1, -2))   # (…, m, 100)
-        blocks = z.reshape(*z.shape[:-1], N_POSITIONS, 10)
-        top = blocks.max(axis=-1, keepdims=True)
-        exp = np.exp(blocks - top)
-        total = exp.sum(axis=-1, keepdims=True)
-        nll = (np.log(total) + top)[..., 0] - np.take(z, picks)
-        loss = nll.sum(axis=(-2, -1))
-        soft = exp / total
-        soft.reshape(-1)[picks] -= 1.0
-        g = soft.reshape(z.shape)
-        grad_b = s * (g.swapaxes(-1, -2) @ p)             # (…, 100, r)
-        grad_a = s * ((g @ b).swapaxes(-1, -2) @ keys)    # (…, r, d_in)
-    return loss, grad_a, grad_b
+    if buffers is None:
+        buffers = _StepBuffers(keys.shape[:-2], keys.shape[-2], a.shape[-2],
+                               keys.shape[-1])
+    p, z, exp = buffers.p, buffers.z, buffers.exp
+    top, total, nll = buffers.top, buffers.total, buffers.nll
+    np.matmul(keys, a.swapaxes(-1, -2), out=p)           # (…, m, r)
+    np.matmul(p, b.swapaxes(-1, -2), out=z)              # (…, m, 100)
+    z *= s
+    z += base_logits
+    blocks = z.reshape(exp.shape)
+    np.maximum.reduce(blocks, axis=-1, keepdims=True, out=top)
+    np.subtract(blocks, top, out=exp)
+    np.exp(exp, out=exp)
+    np.add.reduce(exp, axis=-1, keepdims=True, out=total)
+    np.divide(exp, total, out=exp)                       # the softmax
+    np.log(total, out=total)
+    total += top
+    # picks are in range; a mode other than "raise" writes out unbuffered
+    np.take(z, picks, out=nll, mode="clip")
+    np.subtract(total[..., 0], nll, out=nll)
+    loss = np.add.reduce(nll, axis=(-2, -1), out=loss)
+    exp.reshape(-1)[picks] -= 1.0
+    g = exp.reshape(z.shape)
+    np.matmul(g.swapaxes(-1, -2), p, out=buffers.grad_b)  # (…, 100, r)
+    buffers.grad_b *= s
+    np.matmul(g, b, out=p)
+    np.matmul(p.swapaxes(-1, -2), keys, out=buffers.grad_a)  # (…, r, d_in)
+    buffers.grad_a *= s
+    return loss, buffers.grad_a, buffers.grad_b
 
 
 def _label_picks(labels: np.ndarray) -> np.ndarray:
@@ -326,13 +364,60 @@ def _label_picks(labels: np.ndarray) -> np.ndarray:
     return rows.reshape(*labels.shape[:-1], 1) + _POSITION_OFFSETS + labels
 
 
+def _batch_schedule(rng: Rng, n: int, m: int, steps: int, width: int = 0):
+    """The mini-batch of every step as (k, m) arrays whose rows are
+    successive rng.permutation(n)[:m]. The stream is counter-based, so one
+    draw of k·n words equals k draws of n. A chunk of k steps keeps its
+    arrays, and the caller's `width` words per step, within
+    _SCHEDULE_CHUNK words, or takes one step."""
+    chunk = max(1, _SCHEDULE_CHUNK // max(n, width))
+    for start in range(0, steps, chunk):
+        k = min(chunk, steps - start)
+        yield _smallest(rng.uint64(k * n).reshape(k, n), m)
+
+
+def _smallest(words: np.ndarray, m: int) -> np.ndarray:
+    """Per row of words, the first m of its stable argsort (m < row length).
+
+    numpy's default argsort is faster and sorts equal words in no set
+    order; when the first m + 1 sorted words are distinct, their indices
+    are the stable ones all the same. Otherwise the stable sort decides.
+    """
+    order = np.argsort(words, axis=1)[:, :m + 1]
+    head = np.take_along_axis(words, order, axis=1)
+    if (head[:, 1:] == head[:, :-1]).any():
+        order = np.argsort(words, axis=1, kind="stable")
+    return order[:, :m].copy()      # frees the rest of the sort
+
+
+def _minibatches(base_logits: np.ndarray, keys: np.ndarray,
+                 label_cols: np.ndarray, row_offsets: np.ndarray, rng: Rng,
+                 steps: int):
+    """Each step's (base logits, keys, label picks), the first two gathered
+    into one pair of arrays that every step reuses."""
+    count, n, d_in = keys.shape
+    m = row_offsets.shape[1]
+    batch_logits = np.empty((count, m, D_OUT))
+    batch_keys = np.empty((count, m, d_in))
+    for batches in _batch_schedule(rng, n, m, steps,
+                                   count * m * N_POSITIONS):
+        # the label picks of every step in the chunk, step-major
+        picks = np.add(label_cols[:, batches].swapaxes(0, 1), row_offsets,
+                       order="C")
+        for idx, step_picks in zip(batches, picks):
+            np.take(base_logits, idx, axis=1, out=batch_logits, mode="clip")
+            np.take(keys, idx, axis=1, out=batch_keys, mode="clip")
+            yield batch_logits, batch_keys, step_picks
+
+
 def loss_and_grads(w0: Matrix, pair: LowRankPair, dataset: KvDataset):
     """Full-dataset loss (sum over records) and gradients, as arrays."""
     keys = dataset.keys.data
     base_logits = keys @ w0.data.T
-    loss, grad_a, grad_b = _forward_grads(
-        base_logits, keys, _label_picks(dataset.labels), pair.a.data,
-        pair.b.data, pair.alpha / pair.rank)
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, grad_a, grad_b = _forward_grads(
+            base_logits, keys, _label_picks(dataset.labels), pair.a.data,
+            pair.b.data, pair.alpha / pair.rank)
     return float(loss), grad_a, grad_b
 
 
@@ -375,9 +460,9 @@ def train_stacked(datasets: list[KvDataset],
         raise ValueError("cannot train on an empty dataset")
     count = len(datasets)
     w0 = frozen_base(config.seed, d_in)
-    a0 = (Rng(config.seed).derive("init").gaussian(config.rank * d_in)
-          .reshape(config.rank, d_in) * config.init_stddev)
-    a = np.repeat(a0[None], count, axis=0)
+    a = np.repeat(Rng(config.seed).derive("init").gaussian(
+        config.rank * d_in).reshape(1, config.rank, d_in)
+        * config.init_stddev, count, axis=0)
     b = np.zeros((count, D_OUT, config.rank))
     s = config.alpha / config.rank
     # one dataset's keys are read in place; a stack of them is one copy
@@ -389,29 +474,34 @@ def train_stacked(datasets: list[KvDataset],
     # the flat label index of _label_picks, less the row offset, which
     # depends on the batch
     label_cols = np.stack([ds.labels for ds in datasets]) + _POSITION_OFFSETS
-    batch_rng = Rng(config.seed).derive("batches")
     full_batch = config.batch_size >= n
     m = n if full_batch else config.batch_size
     row_offsets = (np.arange(count * m) * D_OUT).reshape(count, m, 1)
+    if full_batch:
+        batches = itertools.repeat((base_logits, keys,
+                                    label_cols + row_offsets))
+    else:
+        batches = _minibatches(base_logits, keys, label_cols, row_offsets,
+                               Rng(config.seed).derive("batches"),
+                               config.steps)
+    rate = config.learning_rate / m
+    buffers = _StepBuffers((count,), m, config.rank, d_in)
     losses = np.empty((config.steps, count))
-    diverged_at = np.full(count, -1)
     # a diverged slice keeps stepping on non-finite values; silence numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(config.steps):
-            idx = slice(None) if full_batch else \
-                batch_rng.permutation(n)[:m]
-            loss, grad_a, grad_b = _forward_grads(
-                base_logits[:, idx], keys[:, idx],
-                label_cols[:, idx] + row_offsets, a, b, s)
-            finite = np.isfinite(loss)
-            if not finite.all():
-                diverged_at[~finite & (diverged_at < 0)] = step
-            losses[step] = loss / m
-            a -= (config.learning_rate / m) * grad_a
-            b -= (config.learning_rate / m) * grad_b
-    bad = np.flatnonzero(diverged_at >= 0)
-    if bad.size:
-        raise TrainingDiverged(int(diverged_at[bad[0]]), index=int(bad[0]))
+        for loss, (batch_logits, batch_keys, picks) in zip(losses, batches):
+            _, grad_a, grad_b = _forward_grads(
+                batch_logits, batch_keys, picks, a, b, s, buffers, loss)
+            grad_a *= rate
+            a -= grad_a
+            grad_b *= rate
+            b -= grad_b
+    losses /= m
+    finite = np.isfinite(losses)
+    if not finite.all():
+        index = int(np.argmin(finite.all(axis=0)))
+        step = int(np.argmin(finite[:, index]))
+        raise TrainingDiverged(step, index=index)
     results = []
     for i in range(count):
         pair = LowRankPair(a=Matrix(a[i]), b=Matrix(b[i]),

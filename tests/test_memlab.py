@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loramem import memlab
+from loramem import analysis, memlab
 from loramem.adapterio import LowRankPair
 from loramem.matcore import Matrix, Rng
 from loramem.memlab import (
@@ -438,6 +438,72 @@ def test_shards_of_unequal_size_match_the_oracle():
         pair = adapter.targets["memory"]
         assert _bytes(pair.a.data) == _bytes(a)
         assert _bytes(pair.b.data) == _bytes(b)
+
+
+# --- the batch schedule, drawn in chunks ------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 9000), count=st.integers(1, 4),
+       seed=st.integers(0, 2**64 - 1), data=st.data())
+def test_chunked_schedule_equals_per_step_draws(n, count, seed, data):
+    m = data.draw(st.integers(1, min(n - 1, 16)), label="m")
+    width = count * m * memlab.N_POSITIONS   # as train_stacked passes it
+    chunk = max(1, memlab._SCHEDULE_CHUNK // max(n, width))
+    # a last chunk shorter than the others, unless every chunk is one step
+    steps = data.draw(st.integers(0, 2), label="whole") * chunk + \
+        (data.draw(st.integers(1, chunk - 1), label="rest") if chunk > 1
+         else 1)
+    chunks = list(memlab._batch_schedule(Rng(seed).derive("batches"), n, m,
+                                         steps, width))
+    rng = Rng(seed).derive("batches")
+    want = [rng.permutation(n)[:m] for _ in range(steps)]
+    got = [row for rows in chunks for row in rows]
+    assert len(got) == steps
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # each chunk's words and sort fit in _SCHEDULE_CHUNK words, or it is
+    # a single step; n > 8192 gives single steps
+    assert all(len(rows) * max(n, width) <= memlab._SCHEDULE_CHUNK or
+               len(rows) == 1 for rows in chunks)
+    if n > memlab._SCHEDULE_CHUNK:
+        assert len(chunks) == steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 6), n=st.integers(2, 40), high=st.integers(1, 2**64),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_smallest_equals_stable_argsort_with_ties(k, n, high, seed, data):
+    # a small `high` makes equal words common, at and inside the first m
+    m = data.draw(st.integers(1, n - 1), label="m")
+    words = np.random.default_rng(seed).integers(
+        0, high, size=(k, n), dtype=np.uint64, endpoint=high < 2**64)
+    want = np.argsort(words, axis=1, kind="stable")[:, :m]
+    assert np.array_equal(memlab._smallest(words, m), want)
+
+
+# The traced peak of a rank-8 and a rank-32 train on the largest default
+# load (564 records, mini-batch), measured under numpy 2.4 with the batch
+# drawn by one permutation per step and fresh arrays for every step. At
+# rank 8 the peak is the draw of the frozen base; at rank 32 it is inside
+# the training loop.
+_PER_STEP_DRAW_PEAK = {8: 1_025_152, 32: 1_163_530}
+
+
+@pytest.mark.parametrize("rank", sorted(_PER_STEP_DRAW_PEAK))
+def test_training_peak_memory_no_higher_than_per_step_draws(rank):
+    import tracemalloc
+
+    base = TrainConfig()
+    dataset = slice_by_budget(analysis._source_records(base, 6200), 6200)
+    assert len(dataset) > base.batch_size
+    cfg = TrainConfig(rank=rank, alpha=float(rank), steps=100, seed=101)
+    tracemalloc.start()
+    try:
+        train(dataset, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PER_STEP_DRAW_PEAK[rank]
 
 
 def test_train_stacked_rejects_empty_and_unequal_inputs(records):
