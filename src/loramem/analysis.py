@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 from . import adapterio, memlab
@@ -46,6 +47,8 @@ class SweepGrid:
         # a cell's config judges its rank and seed before they are compared
         for rank, seed in itertools.product(self.ranks, self.seeds):
             TrainConfig(rank=rank, seed=seed)
+        if max(self.ranks) > sys.float_info.max:    # alpha is float(rank)
+            raise ValueError("ranks must be within float range")
         for name in ("ranks", "loads"):
             values = getattr(self, name)
             if any(b <= a for a, b in zip(values, values[1:])):
@@ -67,11 +70,13 @@ def _is_list(value) -> bool:
 
 # The grid decides each cell's rank and alpha, so `base` takes neither.
 _BASE_FIELDS = {
-    "learning_rate": _Field(TrainConfig.learning_rate, _is_number, "a number"),
+    "learning_rate": _Field(TrainConfig.learning_rate, _is_number,
+                            "a number", float),
     "steps": _Field(TrainConfig.steps, _is_int, "an integer"),
     "batch_size": _Field(TrainConfig.batch_size, _is_int, "an integer"),
     "seed": _Field(TrainConfig.seed, _is_int, "an integer"),
-    "init_stddev": _Field(TrainConfig.init_stddev, _is_number, "a number"),
+    "init_stddev": _Field(TrainConfig.init_stddev, _is_number, "a number",
+                          float),
 }
 _GRID_FIELDS = {
     "ranks": _Field(DEFAULT_RANKS, _is_list, "a list", tuple),
@@ -130,6 +135,10 @@ def run_sweep(grid: SweepGrid, base: TrainConfig,
     given grid and base config.
     """
     records = _source_records(base, max(grid.loads))
+    first = memlab.count_tokens(memlab.format_record(records[0]))
+    if grid.loads[0] < first:
+        raise ValueError(f"loads must be at least one record ({first} "
+                         f"tokens), got {grid.loads[0]}")
     datasets: dict[int, KvDataset] = {
         load: memlab.slice_by_budget(records, load) for load in grid.loads
     }

@@ -146,3 +146,32 @@ def test_csv_lines_are_stable():
     eff = analysis.efficiency_csv_lines(res, 0.9, {"x": 1}, "0.1.0")
     assert eff[2] == "rank,t_max,n_params,efficiency"
     assert eff[3] == "4,1024,1424,0.719101"
+
+
+def test_sweep_trains_each_cell_once_and_reports_it_next_in_grid_order(
+        monkeypatch):
+    # The benchmark's lab workload stops the sweep at its first
+    # memlab.train call and times the sweep by its progress lines, so each
+    # cell must be one train call, reported before the next cell trains.
+    events = []
+    real_train = memlab.train
+
+    def train(dataset, config):
+        events.append(("train", config.rank, len(dataset), config.seed))
+        return real_train(dataset, config)
+
+    def progress(rank, load, seed, em):
+        events.append(("cell", rank, load, seed))
+
+    monkeypatch.setattr(memlab, "train", train)
+    grid = SweepGrid(ranks=(2, 4), loads=(16, 150), seeds=(5, 3), tau=0.9)
+    base = TrainConfig(steps=20)
+    run_sweep(grid, base, progress=progress)
+    records = analysis._source_records(base, max(grid.loads))
+    size = {load: len(memlab.slice_by_budget(records, load))
+            for load in grid.loads}
+    assert events == [
+        event for rank in grid.ranks for load in grid.loads
+        for seed in grid.seeds
+        for event in (("train", rank, size[load], seed),
+                      ("cell", rank, load, seed))]

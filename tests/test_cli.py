@@ -178,6 +178,29 @@ def test_sweep_grid_error_names_its_field_before_any_cell(capsys, tmp_path,
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("grid_blob, field, message", [
+    ({"base": {"learning_rate": 10**400}}, "learning_rate",
+     "learning_rate must be a number within float range"),
+    ({"base": {"init_stddev": 10**400}}, "init_stddev",
+     "init_stddev must be a number within float range"),
+    ({"loads": [0, 16]}, "loads",
+     "loads must be at least one record (11 tokens), got 0"),
+    ({"ranks": [2, 10**400]}, "ranks", "ranks must be within float range"),
+], ids=["learning_rate", "init_stddev", "loads", "ranks"])
+def test_sweep_value_out_of_range_names_its_field_before_any_cell(
+        capsys, tmp_path, grid_blob, field, message):
+    grid_blob = {"ranks": [2], "loads": [16], "seeds": [1],
+                 "base": {"steps": 5}, **grid_blob}
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(grid_blob))
+    code, _, err = run_cli(capsys, "sweep", "--grid", str(grid), "--verbose",
+                           "--out", str(tmp_path / "r.csv"),
+                           "--efficiency-out", str(tmp_path / "e.csv"))
+    assert code == 1
+    assert err == f"loramem: error[runtime]: {message}\n"
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("sig, ignore_sigint", [
     (signal.SIGINT, True),    # inherited as ignored, as in a shell's job
     (signal.SIGTERM, False),
