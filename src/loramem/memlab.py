@@ -364,7 +364,7 @@ def _label_picks(labels: np.ndarray) -> np.ndarray:
     return rows.reshape(*labels.shape[:-1], 1) + _POSITION_OFFSETS + labels
 
 
-def _batch_schedule(rng: Rng, n: int, m: int, steps: int, width: int = 0):
+def _batch_schedule(rng: Rng, n: int, m: int, steps: int, width: int):
     """The mini-batch of every step as (k, m) arrays whose rows are
     successive rng.permutation(n)[:m]. The stream is counter-based, so one
     draw of k·n words equals k draws of n. A chunk of k steps keeps its
