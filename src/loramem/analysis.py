@@ -47,7 +47,9 @@ class SweepGrid:
         # a cell's config judges its rank and seed before they are compared
         for rank, seed in itertools.product(self.ranks, self.seeds):
             TrainConfig(rank=rank, seed=seed)
-        if max(self.ranks) > sys.float_info.max:    # alpha is float(rank)
+        # with_rank sets alpha to float(rank). TrainConfig would name only
+        # `rank`, so the float range of a rank is judged here, as `ranks`.
+        if max(self.ranks) > sys.float_info.max:
             raise ValueError("ranks must be within float range")
         for name in ("ranks", "loads"):
             values = getattr(self, name)
@@ -135,13 +137,12 @@ def run_sweep(grid: SweepGrid, base: TrainConfig,
     given grid and base config.
     """
     records = _source_records(base, max(grid.loads))
-    first = memlab.count_tokens(memlab.format_record(records[0]))
-    if grid.loads[0] < first:
-        raise ValueError(f"loads must be at least one record ({first} "
-                         f"tokens), got {grid.loads[0]}")
-    datasets: dict[int, KvDataset] = {
-        load: memlab.slice_by_budget(records, load) for load in grid.loads
-    }
+    try:
+        datasets: dict[int, KvDataset] = {
+            load: memlab.slice_by_budget(records, load) for load in grid.loads
+        }
+    except ValueError as exc:
+        raise ValueError(f"loads: {exc}") from exc
     cells: dict[tuple[int, int, int], float] = {}
     n_params: dict[int, int] = {}
     for rank in grid.ranks:

@@ -373,21 +373,9 @@ def _batch_schedule(rng: Rng, n: int, m: int, steps: int, width: int):
     chunk = max(1, _SCHEDULE_CHUNK // max(n, width))
     for start in range(0, steps, chunk):
         k = min(chunk, steps - start)
-        yield _smallest(rng.uint64(k * n).reshape(k, n), m)
-
-
-def _smallest(words: np.ndarray, m: int) -> np.ndarray:
-    """Per row of words, the first m of its stable argsort (m < row length).
-
-    numpy's default argsort is faster and sorts equal words in no set
-    order; when the first m + 1 sorted words are distinct, their indices
-    are the stable ones all the same. Otherwise the stable sort decides.
-    """
-    order = np.argsort(words, axis=1)[:, :m + 1]
-    head = np.take_along_axis(words, order, axis=1)
-    if (head[:, 1:] == head[:, :-1]).any():
-        order = np.argsort(words, axis=1, kind="stable")
-    return order[:, :m].copy()      # frees the rest of the sort
+        # permutation's own rule, row-wise; the copy frees the rest
+        yield np.argsort(rng.uint64(k * n).reshape(k, n), axis=1,
+                         kind="stable")[:, :m].copy()
 
 
 def _minibatches(base_logits: np.ndarray, keys: np.ndarray,

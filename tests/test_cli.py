@@ -184,7 +184,7 @@ def test_sweep_grid_error_names_its_field_before_any_cell(capsys, tmp_path,
     ({"base": {"init_stddev": 10**400}}, "init_stddev",
      "init_stddev must be a number within float range"),
     ({"loads": [0, 16]}, "loads",
-     "loads must be at least one record (11 tokens), got 0"),
+     "loads: budget 0 is smaller than the first record (11 tokens)"),
     ({"ranks": [2, 10**400]}, "ranks", "ranks must be within float range"),
 ], ids=["learning_rate", "init_stddev", "loads", "ranks"])
 def test_sweep_value_out_of_range_names_its_field_before_any_cell(

@@ -469,41 +469,27 @@ def test_chunked_schedule_equals_per_step_draws(n, count, seed, data):
         assert len(chunks) == steps
 
 
-@settings(max_examples=80, deadline=None)
-@given(k=st.integers(1, 6), n=st.integers(2, 40), high=st.integers(1, 2**64),
-       seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_smallest_equals_stable_argsort_with_ties(k, n, high, seed, data):
-    # a small `high` makes equal words common, at and inside the first m
-    m = data.draw(st.integers(1, n - 1), label="m")
-    words = np.random.default_rng(seed).integers(
-        0, high, size=(k, n), dtype=np.uint64, endpoint=high < 2**64)
-    want = np.argsort(words, axis=1, kind="stable")[:, :m]
-    assert np.array_equal(memlab._smallest(words, m), want)
-
-
-# The traced peak of a rank-8 and a rank-32 train on the largest default
-# load (564 records, mini-batch), measured under numpy 2.4 with the batch
-# drawn by one permutation per step and fresh arrays for every step. At
-# rank 8 the peak is the draw of the frozen base; at rank 32 it is inside
-# the training loop.
-_PER_STEP_DRAW_PEAK = {8: 1_025_152, 32: 1_163_530}
-
-
-@pytest.mark.parametrize("rank", sorted(_PER_STEP_DRAW_PEAK))
-def test_training_peak_memory_no_higher_than_per_step_draws(rank):
+def test_training_peak_memory_within_a_schedule_chunk_of_per_step_draws():
+    # The largest default load (564 records), mini-batch, at a rank whose
+    # peak falls inside the training loop rather than in the draw of the
+    # frozen base. The oracle draws each step's batch alone and makes fresh
+    # arrays every step; train may add one chunk of the batch schedule.
     import tracemalloc
 
     base = TrainConfig()
     dataset = slice_by_budget(analysis._source_records(base, 6200), 6200)
     assert len(dataset) > base.batch_size
-    cfg = TrainConfig(rank=rank, alpha=float(rank), steps=100, seed=101)
-    tracemalloc.start()
-    try:
-        train(dataset, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= _PER_STEP_DRAW_PEAK[rank]
+    cfg = TrainConfig(rank=32, alpha=32.0, steps=100, seed=101)
+    peaks = []
+    for run in (_oracle_train, train):
+        tracemalloc.start()
+        try:
+            run(dataset, cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    per_step, chunked = peaks
+    assert chunked <= per_step + memlab._SCHEDULE_CHUNK * 8
 
 
 def test_train_stacked_rejects_empty_and_unequal_inputs(records):
