@@ -67,8 +67,20 @@ class MergeSpec:
             raise MergeError(f"drop_rate must be in [0, 1), got {self.drop_rate}")
 
 
-def check_weights(weights, n: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
+def spec_weights(spec: MergeSpec, n: int) -> np.ndarray | None:
+    """The weights a merge of n adapters under spec reads: none for cat,
+    which refuses any; for every other method spec.weights, or uniform
+    weights when they are None. Weights that a merge would not read as
+    given raise WeightError."""
+    if n < 1:
+        raise MergeError("need at least one adapter to merge")
+    if spec.method == MergeMethod.CAT:
+        if spec.weights is not None:
+            raise WeightError("weights do not apply to cat")
+        return None
+    if spec.weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(spec.weights, dtype=np.float64)
     if w.shape != (n,):
         raise WeightError(f"got {w.size} weights for {n} adapters")
     if not np.isfinite(w).all():
@@ -88,8 +100,6 @@ def _canonical_order(adapters, w: np.ndarray):
 
 def _shared_targets(adapters) -> list[str]:
     """Target ids common to all adapters, in the first adapter's order."""
-    if not adapters:
-        raise MergeError("need at least one adapter to merge")
     base = adapters[0]
     base_ids = list(base.targets.keys())
     for other in adapters[1:]:
@@ -174,8 +184,9 @@ def _weighted_sum(rows: _Rows, w: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _merge_dense(adapters: list[Adapter], weights, combine,
-                 drop_rate: float = 0.0, seed: int = 0) -> MergedDelta:
+def _merge_dense(adapters: list[Adapter], target_ids: list[str],
+                 w: np.ndarray, combine, drop_rate: float,
+                 seed: int) -> MergedDelta:
     """Densify each adapter's delta per target, optionally drop and rescale
     it, and combine the deltas in canonical order with
     `combine(rows, w)`, all in a workspace.
@@ -184,10 +195,6 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
     adapters get independent masks and permuting the input list does not
     change any adapter's mask.
     """
-    target_ids = _shared_targets(adapters)
-    if weights is None:
-        weights = [1.0 / len(adapters)] * len(adapters)
-    w = check_weights(weights, len(adapters))
     adapters, w = _canonical_order(adapters, w)
     if drop_rate:
         rescale = 1.0 / (1.0 - drop_rate)
@@ -212,20 +219,13 @@ def _merge_dense(adapters: list[Adapter], weights, combine,
     return MergedDelta(out)
 
 
-def merge_linear(adapters: list[Adapter],
-                 weights: list[float] | None = None) -> MergedDelta:
-    """Weighted average of dense deltas; weights sum to 1."""
-    return _merge_dense(adapters, weights, _weighted_sum)
-
-
-def merge_cat(adapters: list[Adapter]) -> MergedDelta:
+def _cat(adapters: list[Adapter], target_ids: list[str]) -> MergedDelta:
     """Concatenate factors along the rank axis.
 
     Each B factor absorbs its own alpha / rank scale first; the merged pair
     takes alpha == rank, so densifying it yields exactly the sum of the
     input deltas. Ranks may differ across inputs.
     """
-    target_ids = _shared_targets(adapters)
     adapters = sorted(adapters, key=lambda ad: ad.name)
     out: dict[str, LowRankPair | Matrix] = {}
     for tid in target_ids:
@@ -297,39 +297,28 @@ def _ties_combine(rows: _Rows, w: np.ndarray, density: float) -> np.ndarray:
     return np.divide(num, den, out=num)
 
 
-def merge_ties(adapters: list[Adapter], weights: list[float] | None = None,
-               density: float = 1.0) -> MergedDelta:
-    """Trim each delta, elect a per-entry sign, average agreeing survivors.
-
-    Per entry: the elected sign is the sign of the weighted sum of trimmed
-    values (the direction with the greater total weighted magnitude); the
-    output is the weighted mean of the surviving values that carry that
-    sign, with weights renormalized over the contributing subset. Exactly
-    balanced magnitudes elect sign 0 and output 0.
-    """
-    if not 0.0 < density <= 1.0:
-        raise MergeError(f"density must be in (0, 1], got {density}")
-    return _merge_dense(adapters, weights,
-                        functools.partial(_ties_combine, density=density))
-
-
-def merge_dare(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:
-    """Randomly drop delta entries at spec.drop_rate, rescale survivors by
-    1 / (1 - p), then combine with the linear or ties rule."""
-    if spec.method not in (MergeMethod.DARE_LINEAR, MergeMethod.DARE_TIES):
-        raise MergeError(f"merge_dare called with method {spec.method}")
-    combine = _weighted_sum if spec.method == MergeMethod.DARE_LINEAR \
-        else functools.partial(_ties_combine, density=spec.density)
-    return _merge_dense(adapters, spec.weights or None, combine,
-                        spec.drop_rate, spec.seed)
-
-
 def merge(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:
-    """Dispatch on spec.method."""
-    if spec.method == MergeMethod.LINEAR:
-        return merge_linear(adapters, spec.weights)
-    if spec.method == MergeMethod.CAT:
-        return merge_cat(adapters)
-    if spec.method == MergeMethod.TIES:
-        return merge_ties(adapters, spec.weights, spec.density)
-    return merge_dare(adapters, spec)
+    """Compose adapters under spec, reading the weights `spec_weights`
+    gives.
+
+    linear: the weighted average of the dense deltas. cat: `_cat`. ties:
+    trim each delta to its density, elect a per-entry sign, and average
+    the agreeing survivors. Per entry, the elected sign is the sign of the
+    weighted sum of trimmed values (the direction with the greater total
+    weighted magnitude); the output is the weighted mean of the surviving
+    values that carry that sign, with weights renormalized over the
+    contributing subset. Exactly balanced magnitudes elect sign 0 and
+    output 0. dare-linear and dare-ties first drop delta entries at
+    spec.drop_rate, rescale survivors by 1 / (1 - p), then combine as
+    linear or ties; they alone read drop_rate and seed.
+    """
+    w = spec_weights(spec, len(adapters))
+    target_ids = _shared_targets(adapters)
+    if w is None:
+        return _cat(adapters, target_ids)
+    combine = _weighted_sum if spec.method in (
+        MergeMethod.LINEAR, MergeMethod.DARE_LINEAR) \
+        else functools.partial(_ties_combine, density=spec.density)
+    dare = spec.method in (MergeMethod.DARE_LINEAR, MergeMethod.DARE_TIES)
+    return _merge_dense(adapters, target_ids, w, combine,
+                        spec.drop_rate if dare else 0.0, spec.seed)

@@ -138,11 +138,13 @@ class SystemReport:
 
 
 def compose(adapters: list[Adapter], spec: MergeSpec) -> np.ndarray:
-    """Dense delta of a module selection: one module applies its own delta;
-    several are merged under `spec` and densified. The result is a fresh
-    writable array that the caller owns, so it may add the base into it in
-    place; NonFiniteError if an entry is NaN or Inf."""
+    """Dense delta of a module selection: one module applies its own delta,
+    once `spec` fits a one-module merge; several are merged under `spec`
+    and densified. The result is a fresh writable array that the caller
+    owns, so it may add the base into it in place; NonFiniteError if an
+    entry is NaN or Inf."""
     if len(adapters) == 1:
+        merge_mod.spec_weights(spec, 1)
         entry = adapters[0].targets[TARGET_ID]
     else:
         entry = merge_mod.merge(adapters, spec).targets[TARGET_ID]

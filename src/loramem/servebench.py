@@ -36,8 +36,7 @@ from .adapterio import Adapter
 from .fields import (_REQUIRED, _Field, _is_int, _is_number,
                      _is_number_list, _is_str, _parse)
 from .matcore import Matrix
-from .merge import (MergeError, MergeMethod, MergeSpec, WeightError,
-                    check_weights)
+from .merge import MergeError, MergeMethod, MergeSpec, WeightError
 from .multimem import TARGET_ID, compose
 from .router import EmbeddingIndex, PolicyKind, RoutingPolicy
 
@@ -370,12 +369,6 @@ class AdapterRegistry:
         unknown = [m for m in modules or () if m not in state.adapters]
         if unknown:
             raise BenchError(f"unknown adapter id(s): {unknown}")
-        if merge.weights is not None:
-            # weights that no merge would read are refused, not ignored
-            if merge.method == MergeMethod.CAT:
-                raise WeightError("weights do not apply to cat")
-            check_weights(merge.weights, len(modules) if modules
-                          else min(top_n, len(state.adapters)))
         stages = _Stages()
         ranked, weight = _query(
             stages, state.index, vector, top_n,

@@ -141,8 +141,9 @@ def test_criterion_01_merge_algebra_oracles():
             weights = (raw / raw.sum()).tolist()
             weights[-1] = 1.0 - sum(weights[:-1])
 
-            linear = merge_mod.merge_linear(ads, weights)
-            cat = merge_mod.merge_cat(ads)
+            linear = merge_mod.merge(ads, MergeSpec(
+                MergeMethod.LINEAR, weights=tuple(weights)))
+            cat = merge_mod.merge(ads, MergeSpec(MergeMethod.CAT))
             for tid in shapes:
                 oracle_deltas = [naive_delta(ad.targets[tid]) for ad in ads]
                 expected_linear = np.zeros_like(oracle_deltas[0])
@@ -164,8 +165,9 @@ def test_criterion_01_merge_algebra_oracles():
                     ads = [value_adapter("L", left), value_adapter("R", right)]
                     deltas = [np.array([left]), np.array([right])]
                     for density in (0.25, 0.5, 1.0):
-                        got = merge_mod.merge_ties(
-                            ads, [0.5, 0.5], density).densify("t0").data
+                        got = merge_mod.merge(ads, MergeSpec(
+                            MergeMethod.TIES, weights=(0.5, 0.5),
+                            density=density)).densify("t0").data
                         want = ties_reference(deltas, [0.5, 0.5], density)
                         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -174,9 +176,9 @@ def test_criterion_01_merge_algebra_oracles():
         shapes = {"t0": (4, 5)}
         ads = [rand_small_adapter(rng.derive(i), f"a{i}", shapes, 2)
                for i in range(3)]
-        p0 = merge_mod.merge_dare(ads, MergeSpec(
+        p0 = merge_mod.merge(ads, MergeSpec(
             method=MergeMethod.DARE_LINEAR, drop_rate=0.0, seed=1))
-        plain = merge_mod.merge_linear(ads, None)
+        plain = merge_mod.merge(ads, MergeSpec(MergeMethod.LINEAR))
         np.testing.assert_array_equal(p0.densify("t0").data,
                                       plain.densify("t0").data)
         unit = value_adapter("v", [1.0])
@@ -185,7 +187,7 @@ def test_criterion_01_merge_algebra_oracles():
         for seed in range(n_seeds):
             spec = MergeSpec(method=MergeMethod.DARE_LINEAR, drop_rate=0.5,
                              seed=seed)
-            total += merge_mod.merge_dare([unit], spec).densify("t0").data[0, 0]
+            total += merge_mod.merge([unit], spec).densify("t0").data[0, 0]
         assert abs(total / n_seeds - 1.0) <= 0.05
 
 

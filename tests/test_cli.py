@@ -100,6 +100,24 @@ def test_merge_cli_writes_loadable_container(workdir, capsys, tmp_path):
     assert header["targets"][0]["kind"] == "dense"
 
 
+def test_weights_that_no_merge_reads_exit_1(workdir, capsys, tmp_path):
+    single = str(workdir / "single.lmem")
+    cases = [
+        (["merge", single, single, "--method", "cat", "--weights", "0.3,0.3",
+          "--out", str(tmp_path / "m.lmem")], "weights do not apply to cat"),
+        (["multi", "run", "--data", str(workdir / "pb.txt"), "--shards", "2",
+          "--steps", "20", "--topn", "1", "--weights", "0.3,0.3",
+          "--report", str(tmp_path / "r.json")],
+         "got 2 weights for 1 adapters"),
+    ]
+    for argv, message in cases:
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("loramem: error[runtime]:") and message in err
+    assert not (tmp_path / "m.lmem").exists()
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_sweep_cli_writes_csvs_with_config_echo(capsys, tmp_path):
     grid = {"ranks": [2, 4], "loads": [16, 150], "seeds": [1],
             "tau": 0.9, "base": {"steps": 150}}

@@ -12,7 +12,7 @@ from loramem.adapterio import Adapter, LowRankPair, delta
 from loramem.matcore import Matrix, NonFiniteError, Rng
 from loramem.merge import (
     MergeError, MergeMethod, MergeSpec, TargetMismatchError, WeightError,
-    merge, merge_cat, merge_dare, merge_linear, merge_ties,
+    merge,
 )
 
 
@@ -47,38 +47,38 @@ def test_linear_identical_adapters_uniform():
     ads = [rand_adapter(1, f"a{i}") for i in range(3)]
     for ad in ads[1:]:
         ad.targets = ads[0].targets
-    out = merge_linear(ads, [1 / 3] * 3)
+    out = merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(1 / 3,) * 3))
     np.testing.assert_allclose(dense_of(out),
                                delta(ads[0].targets["t0"]).data, atol=1e-12)
 
 
 def test_linear_degenerate_weights_pick_first():
     ads = [rand_adapter(i, f"a{i}") for i in range(3)]
-    out = merge_linear(ads, [1.0, 0.0, 0.0])
+    out = merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(1.0, 0.0, 0.0)))
     np.testing.assert_array_equal(dense_of(out), delta(ads[0].targets["t0"]).data)
 
 
 def test_linear_scalar_weighted_mean():
     ads = [value_adapter("x", [2.0]), value_adapter("y", [4.0])]
-    out = merge_linear(ads, [0.25, 0.75])
+    out = merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(0.25, 0.75)))
     assert dense_of(out)[0, 0] == 3.5
 
 
 def test_linear_weight_validation():
     ads = [rand_adapter(i, f"a{i}") for i in range(2)]
     with pytest.raises(WeightError):
-        merge_linear(ads, [0.5, 0.6])
+        merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(0.5, 0.6)))
     with pytest.raises(WeightError):
-        merge_linear(ads, [1.5, -0.5])
+        merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(1.5, -0.5)))
     with pytest.raises(WeightError):
-        merge_linear(ads, [1.0])
+        merge(ads, MergeSpec(MergeMethod.LINEAR, weights=(1.0,)))
 
 
 def test_linear_target_set_mismatch():
     a = rand_adapter(1, "a", targets=("t0",))
     b = rand_adapter(2, "b", targets=("t1",))
     with pytest.raises(TargetMismatchError):
-        merge_linear([a, b], [0.5, 0.5])
+        merge([a, b], MergeSpec(MergeMethod.LINEAR, weights=(0.5, 0.5)))
 
 
 def test_linear_homogeneity_power_of_two_exact():
@@ -90,9 +90,9 @@ def test_linear_homogeneity_power_of_two_exact():
         scaled.append(Adapter(name=ad.name, targets={"t0": LowRankPair(
             a=pair.a, b=Matrix(pair.b.data * 4.0), alpha=pair.alpha,
             rank=pair.rank)}))
-    w = [0.2, 0.3, 0.5]
-    assert np.array_equal(dense_of(merge_linear(scaled, w)),
-                          dense_of(merge_linear(ads, w)) * 4.0)
+    spec = MergeSpec(MergeMethod.LINEAR, weights=(0.2, 0.3, 0.5))
+    assert np.array_equal(dense_of(merge(scaled, spec)),
+                          dense_of(merge(ads, spec)) * 4.0)
 
 
 def test_linear_brute_force_oracle():
@@ -100,7 +100,7 @@ def test_linear_brute_force_oracle():
     ads = [rand_adapter(100 + i, f"a{i}", rank=2, d_in=5, d_out=4)
            for i in range(4)]
     w = [0.1, 0.2, 0.3, 0.4]
-    out = dense_of(merge_linear(ads, w))
+    out = dense_of(merge(ads, MergeSpec(MergeMethod.LINEAR, weights=tuple(w))))
     expected = np.zeros((4, 5))
     for i in range(4):
         for j in range(5):
@@ -116,7 +116,7 @@ def test_linear_brute_force_oracle():
 
 def test_cat_rank_sums():
     ads = [rand_adapter(i, f"a{i}", rank=2) for i in range(3)]
-    out = merge_cat(ads)
+    out = merge(ads, MergeSpec(MergeMethod.CAT))
     pair = out.targets["t0"]
     assert isinstance(pair, LowRankPair)
     assert pair.rank == 6
@@ -125,14 +125,14 @@ def test_cat_rank_sums():
 
 def test_cat_single_adapter_identity():
     ad = rand_adapter(5, "solo")
-    out = merge_cat([ad])
+    out = merge([ad], MergeSpec(MergeMethod.CAT))
     np.testing.assert_allclose(dense_of(out), delta(ad.targets["t0"]).data,
                                atol=1e-12)
 
 
 def test_cat_densifies_to_dense_sum():
     ads = [rand_adapter(10, "a", rank=2), rand_adapter(11, "b", rank=3)]
-    out = merge_cat(ads)
+    out = merge(ads, MergeSpec(MergeMethod.CAT))
     expected = delta(ads[0].targets["t0"]).data + delta(ads[1].targets["t0"]).data
     np.testing.assert_allclose(dense_of(out), expected, atol=1e-12)
 
@@ -141,7 +141,7 @@ def test_cat_mismatched_dims_error():
     a = rand_adapter(1, "a", d_in=4)
     b = rand_adapter(2, "b", d_in=5)
     with pytest.raises(Exception):
-        merge_cat([a, b])
+        merge([a, b], MergeSpec(MergeMethod.CAT))
 
 
 # --- ties -------------------------------------------------------------------
@@ -178,41 +178,41 @@ def test_ties_identical_adapters_full_density():
     ads = [rand_adapter(2, f"a{i}") for i in range(3)]
     for ad in ads[1:]:
         ad.targets = ads[0].targets
-    out = merge_ties(ads, [1 / 3] * 3, density=1.0)
+    out = merge(ads, MergeSpec(MergeMethod.TIES, weights=(1 / 3,) * 3))
     np.testing.assert_allclose(dense_of(out),
                                delta(ads[0].targets["t0"]).data, atol=1e-12)
 
 
 def test_ties_hand_trace_sign_election():
     ads = [value_adapter("p", [3.0]), value_adapter("n", [-1.0])]
-    out = merge_ties(ads, [0.5, 0.5], density=1.0)
+    out = merge(ads, MergeSpec(MergeMethod.TIES, weights=(0.5, 0.5)))
     assert dense_of(out)[0, 0] == 3.0
 
 
 def test_ties_single_adapter_topk_trim():
     ad = value_adapter("solo", [3.0, 0.1])
-    out = merge_ties([ad], [1.0], density=0.5)
+    out = merge([ad], MergeSpec(MergeMethod.TIES, weights=(1.0,), density=0.5))
     np.testing.assert_array_equal(dense_of(out), [[3.0, 0.0]])
 
 
 def test_ties_density_one_single_adapter_is_identity():
     ad = rand_adapter(7, "solo")
-    out = merge_ties([ad], [1.0], density=1.0)
+    out = merge([ad], MergeSpec(MergeMethod.TIES, weights=(1.0,)))
     assert np.array_equal(dense_of(out), delta(ad.targets["t0"]).data)
 
 
 def test_ties_exact_balance_elects_zero():
     ads = [value_adapter("p", [2.0]), value_adapter("n", [-2.0])]
-    out = merge_ties(ads, [0.5, 0.5], density=1.0)
+    out = merge(ads, MergeSpec(MergeMethod.TIES, weights=(0.5, 0.5)))
     assert dense_of(out)[0, 0] == 0.0
 
 
 def test_ties_density_validation():
     ads = [value_adapter("a", [1.0])]
     with pytest.raises(MergeError):
-        merge_ties(ads, [1.0], density=0.0)
+        merge(ads, MergeSpec(MergeMethod.TIES, weights=(1.0,), density=0.0))
     with pytest.raises(MergeError):
-        merge_ties(ads, [1.0], density=1.1)
+        merge(ads, MergeSpec(MergeMethod.TIES, weights=(1.0,), density=1.1))
 
 
 def test_ties_exhaustive_two_adapter_reference():
@@ -225,7 +225,9 @@ def test_ties_exhaustive_two_adapter_reference():
             ads = [value_adapter("L", left), value_adapter("R", right)]
             deltas = [np.array([left]), np.array([right])]
             for density in (0.25, 0.5, 1.0):
-                got = dense_of(merge_ties(ads, weights, density))
+                got = dense_of(merge(ads, MergeSpec(
+                    MergeMethod.TIES, weights=tuple(weights),
+                    density=density)))
                 want = ties_reference(deltas, weights, density)
                 np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -306,7 +308,8 @@ def test_ties_bytes_match_select_oracle(kinds, shape):
     for weights in ([1 / 3] * 3, [0.5, 0.3, 0.2], [0.0, 0.5, 0.5]):
         w = np.array(weights)[[1, 2, 0]]  # weights of a, b, c
         for density in EDGE_DENSITIES:
-            got = dense_of(merge_ties(ads, weights, density))
+            got = dense_of(merge(ads, MergeSpec(
+                MergeMethod.TIES, weights=tuple(weights), density=density)))
             assert got.tobytes() == select_ties(deltas, w, density).tobytes()
 
 
@@ -338,17 +341,19 @@ def test_dare_bytes_match_select_oracle(method):
 
 def test_dare_p_zero_equals_linear_and_ties():
     ads = [rand_adapter(20 + i, f"a{i}") for i in range(3)]
-    for variant, plain in ((MergeMethod.DARE_LINEAR, merge_linear(ads, None)),
-                           (MergeMethod.DARE_TIES, merge_ties(ads, None, 0.6))):
+    for variant, plain in (
+            (MergeMethod.DARE_LINEAR, merge(ads, MergeSpec(MergeMethod.LINEAR))),
+            (MergeMethod.DARE_TIES,
+             merge(ads, MergeSpec(MergeMethod.TIES, density=0.6)))):
         spec = MergeSpec(method=variant, drop_rate=0.0, density=0.6, seed=1)
-        out = merge_dare(ads, spec)
+        out = merge(ads, spec)
         np.testing.assert_array_equal(dense_of(out), dense_of(plain))
 
 
 def test_dare_survivors_scaled_by_two_at_half_drop():
     ad = value_adapter("v", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     spec = MergeSpec(method=MergeMethod.DARE_LINEAR, drop_rate=0.5, seed=3)
-    out = dense_of(merge_dare([ad], spec))
+    out = dense_of(merge([ad], spec))
     original = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     for got, orig in zip(out.ravel(), original):
         assert got == 0.0 or got == 2.0 * orig
@@ -361,20 +366,20 @@ def test_dare_monte_carlo_unbiased():
     for seed in range(n):
         spec = MergeSpec(method=MergeMethod.DARE_LINEAR, drop_rate=0.5,
                          seed=seed)
-        total += dense_of(merge_dare([ad], spec))[0, 0]
+        total += dense_of(merge([ad], spec))[0, 0]
     assert abs(total / n - 1.0) <= 0.05
 
 
 def test_dare_deterministic_and_name_keyed_masks():
     ads = [rand_adapter(30, "x"), rand_adapter(31, "y")]
     spec = MergeSpec(method=MergeMethod.DARE_LINEAR, drop_rate=0.4, seed=9)
-    out1 = dense_of(merge_dare(ads, spec))
-    out2 = dense_of(merge_dare(ads, spec))
+    out1 = dense_of(merge(ads, spec))
+    out2 = dense_of(merge(ads, spec))
     np.testing.assert_array_equal(out1, out2)
     # masks differ between differently named adapters
-    solo_x = dense_of(merge_dare([ads[0]], MergeSpec(
+    solo_x = dense_of(merge([ads[0]], MergeSpec(
         method=MergeMethod.DARE_LINEAR, drop_rate=0.4, seed=9)))
-    solo_y = dense_of(merge_dare([ads[1]], MergeSpec(
+    solo_y = dense_of(merge([ads[1]], MergeSpec(
         method=MergeMethod.DARE_LINEAR, drop_rate=0.4, seed=9)))
     assert ((solo_x == 0) != (solo_y == 0)).any()
 
@@ -422,14 +427,30 @@ def test_merge_dispatcher_routes_all_methods():
 
 def test_merge_needs_at_least_one_adapter():
     with pytest.raises(MergeError):
-        merge_linear([], [])
+        merge([], MergeSpec(MergeMethod.LINEAR))
+
+
+@pytest.mark.parametrize("weights", [(), (1.0,), (0.5, 0.5)])
+def test_cat_refuses_any_weights(weights):
+    ads = [rand_adapter(i, f"a{i}") for i in range(2)]
+    with pytest.raises(WeightError, match="weights do not apply to cat"):
+        merge(ads, MergeSpec(MergeMethod.CAT, weights=weights))
+
+
+@pytest.mark.parametrize("method", [m for m in MergeMethod
+                                    if m != MergeMethod.CAT])
+def test_empty_weights_are_refused_not_read_as_uniform(method):
+    ads = [rand_adapter(i, f"a{i}") for i in range(2)]
+    with pytest.raises(WeightError, match="got 0 weights for 2 adapters"):
+        merge(ads, MergeSpec(method, weights=(), drop_rate=0.3))
 
 
 # --- shared workspace -------------------------------------------------------
 
 
 def workspace_specs():
-    """Every method at k = 1..4, weighted and uniform, on two shapes, so the
+    """Every method at k = 1..4, weighted (but cat) and uniform, on two
+    shapes, so the
     workspace grows, shrinks its views and switches shapes between merges."""
     small = [rand_adapter(60 + i, f"s{i}", rank=3, d_in=30, d_out=20)
              for i in range(4)]
@@ -441,7 +462,9 @@ def workspace_specs():
         for method in MergeMethod:
             for pool in (small, large):
                 cases.append((pool[:k], MergeSpec(
-                    method=method, weights=weights if k % 2 else None,
+                    method=method,
+                    weights=weights if k % 2 and method != MergeMethod.CAT
+                    else None,
                     density=0.4, drop_rate=0.3, seed=k)))
     return cases
 

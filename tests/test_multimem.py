@@ -3,7 +3,7 @@ import pytest
 
 from loramem import adapterio, memlab, multimem
 from loramem.memlab import TrainConfig
-from loramem.merge import MergeMethod, MergeSpec
+from loramem.merge import MergeMethod, MergeSpec, WeightError
 from loramem.multimem import (
     ShardError, SystemConfig, build_shard_index, eval_system,
     interference_sweep, partition, train_shards,
@@ -237,3 +237,27 @@ def test_compose_owns_its_array_and_merge_results_stay_read_only(method,
     assert (tmp_path / "after.lmem").read_bytes() == \
         (tmp_path / "before.lmem").read_bytes()
     assert multimem.compose(adapters, spec).tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("spec, error", [
+    (MergeSpec(MergeMethod.TIES, weights=(0.5, 0.5)),
+     "got 2 weights for 1 adapters"),
+    (MergeSpec(MergeMethod.CAT, weights=(1.0,)),
+     "weights do not apply to cat"),
+    (MergeSpec(MergeMethod.DARE_LINEAR, weights=()),
+     "got 0 weights for 1 adapters"),
+])
+def test_one_module_compose_meets_the_weights_rule_without_a_merge(
+        spec, error, shard_setup, monkeypatch):
+    from loramem import merge as merge_mod
+
+    _, adapters, _ = shard_setup
+    calls = []
+    monkeypatch.setattr(merge_mod, "merge", lambda *args: calls.append(args))
+    with pytest.raises(WeightError, match=error):
+        multimem.compose(adapters[:1], spec)
+    delta = multimem.compose(adapters[:1], MergeSpec(MergeMethod.TIES,
+                                                     weights=(1.0,)))
+    own = adapterio.dense_product(adapters[0].targets[multimem.TARGET_ID])
+    assert delta.tobytes() == own.tobytes()
+    assert calls == []
