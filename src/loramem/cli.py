@@ -279,7 +279,6 @@ def _cmd_bench(args) -> int:
         top_n=args.topn,
         merge_spec=_merge_spec(args, args.merge, args.merge_seed),
         base_seed=args.seed,
-        d_in=args.d_in,
     )
     report = servebench.run_bench(scenario)
     body = _report_body(args, {"report": report.to_json()})

@@ -36,11 +36,11 @@ class _Field(NamedTuple):
 
 
 def _parse(blob: dict, fields: dict[str, _Field], where: str,
-           error: type[Exception]) -> dict:
-    """Each field of blob read, or its default. `error` for the first
-    unknown key, else two fields that exclude each other, else the first
-    absent required field, else the first value its check refuses or its
-    read cannot hold in a float."""
+           error: Callable[[str], Exception]) -> dict:
+    """Each field of blob read, or its default. `error(message)` for the
+    first unknown key, else two fields that exclude each other, else the
+    first absent required field, else the first value its check refuses or
+    its read cannot hold in a float."""
     for name in blob:
         if name not in fields:
             raise error(f"unknown key {name!r} in {where}")

@@ -92,12 +92,13 @@ class BenchScenario:
     merge_spec: MergeSpec = field(
         default_factory=lambda: MergeSpec(method=MergeMethod.TIES))
     base_seed: int = 0
-    d_in: int = memlab.D_IN_DEFAULT
 
     def __post_init__(self):
         if self.question_count < 1:
             raise BenchError(
                 f"question_count must be >= 1, got {self.question_count}")
+        if len(self.dataset) == 0:
+            raise BenchError("scenario dataset is empty")
 
 
 @dataclass
@@ -121,33 +122,40 @@ def _totals(stages, per_query) -> dict[str, float]:
     return totals
 
 
-def _count_read(counts: dict[str, int], path) -> None:
+def _read(path, counts: dict[str, int], read=adapterio.load):
+    """read(path), counted in `counts` as one disk read of path."""
     counts[str(path)] = counts.get(str(path), 0) + 1
+    return read(path)
 
 
-def _load_adapter(path, counts) -> Adapter:
-    _count_read(counts, path)
-    return adapterio.load(path)
+# The metadata the bench and the registry read, each value a JSON string.
+_METADATA_FIELDS = {
+    "seed": _Field(0, _is_int, "an integer"),
+    "d_in": _Field(memlab.D_IN_DEFAULT, _is_int, "an integer"),
+    "centroid": _Field(_REQUIRED, _is_number_list, "a list of numbers",
+                       lambda v: np.asarray(v, dtype=np.float64)),
+}
+
+
+def _metadata(name: str, metadata: dict) -> dict:
+    """Adapter `name`'s `_METADATA_FIELDS`, read by `_parse`; BenchError
+    naming the adapter and the key for a value its field refuses."""
+    blob = {}
+    for key in _METADATA_FIELDS.keys() & metadata.keys():
+        try:
+            blob[key] = json.loads(metadata[key])
+        except (ValueError, RecursionError):
+            blob[key] = None            # which no field's check passes
+    return _parse(blob, _METADATA_FIELDS, "metadata", lambda message:
+                  BenchError(f"adapter {name!r} metadata: {message}"))
 
 
 def _centroid_index(entries) -> EmbeddingIndex:
     """Cosine index over (adapter name, metadata) pairs: one row per pair,
     in entry order, from the key centroid its metadata carries."""
-    shards = []
-    for name, metadata in entries:
-        raw = metadata.get("centroid", "")
-        if not raw:
-            raise BenchError(f"adapter {name!r} has no centroid metadata")
-        centroid = np.asarray(json.loads(raw), dtype=np.float64)
-        shards.append((name, Matrix(centroid.reshape(1, -1))))
-    return router.build_index(shards)
-
-
-def _questions(scenario: BenchScenario) -> list[int]:
-    n = len(scenario.dataset)
-    if n == 0:
-        raise BenchError("scenario dataset is empty")
-    return [i % n for i in range(scenario.question_count)]
+    return router.build_index([
+        (name, Matrix(_metadata(name, metadata)["centroid"].reshape(1, -1)))
+        for name, metadata in entries])
 
 
 def _query(stages: _Stages, index: EmbeddingIndex, vec: np.ndarray,
@@ -175,12 +183,11 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
     before/after clock reads. The report's structure is deterministic for a
     given scenario; only the measured times vary."""
     ds = scenario.dataset
-    questions = _questions(scenario)
     read_counts: dict[str, int] = {}
     per_query: list[dict[str, float]] = []
 
     setup = _Stages()
-    w0 = memlab.frozen_base(scenario.base_seed, scenario.d_in).data
+    w0 = memlab.frozen_base(scenario.base_seed, ds.d_in).data
     setup.lap("model_loading")
 
     mode = scenario.mode
@@ -192,13 +199,13 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
     if mode == Mode.SINGLE_ADAPTER:
         if scenario.single_adapter_path is None:
             raise BenchError("single mode needs single_adapter_path")
-        adapter = _load_adapter(scenario.single_adapter_path, read_counts)
+        adapter = _read(scenario.single_adapter_path, read_counts)
         setup.lap("lora_loading")
         delta = compose([adapter], scenario.merge_spec)
         weight = np.add(w0, delta, out=delta)
         setup.lap("lora_activation")
     elif mode == Mode.PRELOADED:
-        loaded = [_load_adapter(p, read_counts) for p in scenario.adapter_paths]
+        loaded = [_read(p, read_counts) for p in scenario.adapter_paths]
         setup.lap("all_lora_loading")
         preloaded = {ad.name: ad for ad in loaded}
         index = _centroid_index((ad.name, ad.metadata) for ad in loaded)
@@ -209,24 +216,23 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         headers = []
         paths_by_name: dict[str, Path] = {}
         for path in scenario.adapter_paths:
-            _count_read(read_counts, path)
-            header = adapterio.inspect_header(path)
+            header = _read(path, read_counts, adapterio.inspect_header)
             headers.append((header["name"], header["metadata"]))
             paths_by_name[header["name"]] = Path(path)
         index = _centroid_index(headers)
 
         def select(chosen, stages):
-            selected = [_load_adapter(paths_by_name[mid], read_counts)
+            selected = [_read(paths_by_name[mid], read_counts)
                         for mid in chosen]
             stages.lap("lora_loading")
             return selected
 
     hits = 0
-    for rec_idx in questions:
+    for rec_idx in (i % len(ds) for i in range(scenario.question_count)):
         record = ds.records[rec_idx]
         q = _Stages()
         if index is not None:
-            key = memlab.encode_key(record.name, scenario.d_in)
+            key = memlab.encode_key(record.name, ds.d_in)
             q.lap("query_embedding")
             _, weight = _query(q, index, key, scenario.top_n, select,
                                scenario.merge_spec, w0)
@@ -237,7 +243,7 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         if index is None:
             # Closed-book modes: turning the prompt into the model input
             # (split + key encoding) is all tokenization-side work here.
-            key = memlab.encode_key(record.name, scenario.d_in)
+            key = memlab.encode_key(record.name, ds.d_in)
         q.lap("tokenization")
 
         correct = bool(memlab.exact_match(weight @ key, ds.labels[rec_idx]))
@@ -251,8 +257,8 @@ def run_bench(scenario: BenchScenario) -> TimingReport:
         per_query=per_query,
         totals=_totals(setup.ms.items(), per_query),
         read_counts=read_counts,
-        em=hits / len(questions),
-        question_count=len(questions),
+        em=hits / scenario.question_count,
+        question_count=scenario.question_count,
     )
 
 
@@ -315,9 +321,10 @@ class AdapterRegistry:
 
     def register(self, path) -> int:
         adapter = adapterio.load(path)
-        seed = int(adapter.metadata.get("seed", "0"))
-        d_in = int(adapter.metadata.get("d_in", str(memlab.D_IN_DEFAULT)))
-        row = _centroid_index([(adapter.name, adapter.metadata)]).vectors.data
+        seed, d_in, centroid = _metadata(adapter.name,
+                                         adapter.metadata).values()
+        row = router.build_index([(adapter.name, Matrix(
+            centroid.reshape(1, -1)))]).vectors.data
         _check_geometry(adapter, d_in, row)
         with self._write_lock:
             state = self._state

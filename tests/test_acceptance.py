@@ -422,7 +422,7 @@ def test_criterion_10_serving_cost_ordering(tmp_path):
                 mode=mode, dataset=dataset, adapter_paths=list(paths),
                 question_count=30, top_n=3,
                 merge_spec=MergeSpec(method=MergeMethod.TIES, density=0.3),
-                base_seed=cfg.seed, d_in=dataset.d_in)
+                base_seed=cfg.seed)
 
         dynamic_loading, preloaded_loading, preloaded_once = [], [], []
         for _ in range(3):

@@ -189,7 +189,7 @@ def test_bench_report_non_timing_digest(shards, mode):
     report = run_bench(BenchScenario(
         mode=Mode(mode), dataset=dataset, adapter_paths=list(paths),
         single_adapter_path=paths[0], top_n=2,
-        merge_spec=MERGE_SPECS["ties"], base_seed=11, d_in=dataset.d_in))
+        merge_spec=MERGE_SPECS["ties"], base_seed=11))
     assert _bench_digest(report) == GOLDEN_BENCH[mode]
 
 

@@ -20,7 +20,7 @@ from loramem.servebench import (
     DuplicateAdapterError, Mode, RegistryServer, ServeConfig, request_line,
     run_bench, serve_in_thread,
 )
-from loramem.servebench import BadRequest
+from loramem.servebench import BadRequest, _centroid_index, _Handler
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,7 @@ def scenario(assets, mode: Mode, questions: int = 30) -> BenchScenario:
         mode=mode, dataset=dataset, adapter_paths=list(paths),
         single_adapter_path=single_path, question_count=questions,
         top_n=3, merge_spec=MergeSpec(method=MergeMethod.TIES, density=0.3),
-        base_seed=cfg.seed, d_in=dataset.d_in)
+        base_seed=cfg.seed)
 
 
 def stage_set(report) -> set:
@@ -448,6 +448,86 @@ def test_register_rejects_an_adapter_no_query_could_use(pool, tmp_path, bad,
     with pytest.raises(BenchError, match=message):
         registry.register(path)
     _assert_still_serving(registry, queries, 2)
+
+
+def _odd_register(tmp_path, metadata: dict, d_in: int = POOL_D_IN) -> dict:
+    """A register request for adapter "odd", its metadata updated by
+    `metadata`, a key whose value is None taken out."""
+    adapter = _pool_adapter("odd", np.random.default_rng(0), [1.0] * d_in,
+                            d_in=d_in)
+    adapter.metadata = {key: value for key, value in
+                        {**adapter.metadata, **metadata}.items()
+                        if value is not None}
+    adapterio.save(adapter, tmp_path / "odd.lmem")
+    return {"op": "register", "path": str(tmp_path / "odd.lmem")}
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("seed", "abc"), ("seed", "1.0"), ("d_in", "x"), ("centroid", "{}"),
+    ("centroid", '"s"'), ("centroid", "[1,"),
+    ("centroid", json.dumps([True] + [1.0] * (POOL_D_IN - 1))),
+    ("centroid", "[" + "9" * 400 + "]"), ("centroid", "[" * 100_000),
+], ids=["seed-word", "seed-float", "d_in-word", "centroid-object",
+        "centroid-string", "centroid-cut", "centroid-bool", "centroid-huge",
+        "centroid-deep"])
+def test_malformed_metadata_is_a_bench_error_naming_adapter_and_key(
+        tmp_path, key, raw):
+    request = _odd_register(tmp_path, {key: raw})
+    error = _Handler._dispatch(AdapterRegistry(), json.dumps(request))["error"]
+    assert error["code"] == "BenchError"
+    assert error["message"].startswith(f"adapter 'odd' metadata: {key} ")
+    metadata = adapterio.inspect_header(request["path"])["metadata"]
+    with pytest.raises(BenchError, match=f"adapter 'odd' metadata: {key} "):
+        _centroid_index([("odd", metadata)])
+
+
+@pytest.mark.parametrize("registered, request_of, code, message", [
+    (0, lambda q, tmp: {"op": "query", "vector": q}, "BenchError",
+     "no adapters registered"),
+    (2, lambda q, tmp: {"op": "query", "vector": q[:3]}, "BenchError",
+     "query dimension 3 != registry d_in 16"),
+    (2, lambda q, tmp: _odd_register(tmp, {"seed": "4"}), "BenchError",
+     "(seed=4, d_in=16) disagrees with registry (seed=3, d_in=16)"),
+    (2, lambda q, tmp: _odd_register(tmp, {"d_in": "8"}, d_in=8),
+     "BenchError", "(seed=3, d_in=8) disagrees with registry"),
+    (0, lambda q, tmp: _odd_register(tmp, {"centroid": None}), "BenchError",
+     "adapter 'odd' metadata: centroid is required"),
+    (0, lambda q, tmp: [1, 2], "bad_request",
+     "request must be a JSON object"),
+], ids=["no-adapters", "short-vector", "seed-disagrees", "d_in-disagrees",
+        "no-centroid", "non-object"])
+def test_registry_error_paths_reply_with_their_codes(
+        pool, tmp_path, registered, request_of, code, message):
+    paths, queries = pool
+    registry = AdapterRegistry()
+    for path in paths[:registered]:
+        registry.register(path)
+    request = request_of(queries[0].tolist(), tmp_path)
+    error = _Handler._dispatch(registry, json.dumps(request))["error"]
+    assert error["code"] == code and message in error["message"]
+    assert registry.stats()["adapters"] == registered
+
+
+def test_error_replies_keep_the_connection_open(pool, tmp_path):
+    paths, queries = pool
+    overflowing = _odd_register(tmp_path, {"centroid": "[" + "9" * 400 + "]"})
+    srv, _ = serve_in_thread(ServeConfig(port=0))
+    try:
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10) as conn:
+            fh = conn.makefile("r", encoding="utf-8")
+            for request, code in (
+                    ([1, 2], "bad_request"),
+                    ({"op": "query", "vector": queries[0].tolist()},
+                     "BenchError"),
+                    (overflowing, "BenchError")):
+                conn.sendall((json.dumps(request) + "\n").encode())
+                assert json.loads(fh.readline())["error"]["code"] == code
+            conn.sendall((json.dumps({"op": "stats"}) + "\n").encode())
+            assert json.loads(fh.readline())["adapters"] == 0
+    finally:
+        srv.shutdown()
+        srv.server_close()
 
 
 def test_duplicate_register_is_typed_error_and_connection_stays_open(pool):

@@ -111,7 +111,7 @@ def test_traced_preloaded_bench_gets_the_untraced_em(shard_paths):
         mode=servebench.Mode.PRELOADED, dataset=dataset, adapter_paths=paths,
         question_count=12, top_n=3,
         merge_spec=MergeSpec(method=MergeMethod.TIES, density=0.3),
-        base_seed=11, d_in=dataset.d_in)
+        base_seed=11)
     untraced = servebench.run_bench(scenario).em
     tracer = Tracer()
     saved = install(tracer)
