@@ -146,6 +146,8 @@ def _read_f32(payload: bytes, offset: int, rows: int, cols: int, what: str) -> M
             f"payload of {len(payload)} bytes"
         )
     arr = np.frombuffer(payload, dtype="<f4", count=rows * cols, offset=offset)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{what}: NaN or Inf entries")
     return Matrix(arr.astype(np.float64).reshape(rows, cols))
 
 

@@ -28,9 +28,9 @@ def rand_adapter(seed: int, n_targets=2, name="ad") -> Adapter:
 
 
 def test_delta_zero_b():
-    pair = LowRankPair(a=Matrix(np.ones((2, 3))), b=Matrix.zeros(4, 2),
+    pair = LowRankPair(a=Matrix(np.ones((2, 3))), b=Matrix(np.zeros((4, 2))),
                        alpha=1.0, rank=2)
-    assert delta(pair) == Matrix.zeros(4, 3)
+    assert delta(pair) == Matrix(np.zeros((4, 3)))
 
 
 def test_delta_rank_one_outer_product():
@@ -68,9 +68,9 @@ def test_rank_doubling_with_zero_padding_halves_delta_exactly():
 
 
 def test_pair_validates_shapes_and_scalars():
-    a, b = Matrix.zeros(2, 3), Matrix.zeros(4, 2)
+    a, b = Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 2)))
     with pytest.raises(matcore.ShapeMismatchError):
-        LowRankPair(a=a, b=Matrix.zeros(4, 3), alpha=1.0, rank=2)
+        LowRankPair(a=a, b=Matrix(np.zeros((4, 3))), alpha=1.0, rank=2)
     with pytest.raises(ValueError):
         LowRankPair(a=a, b=b, alpha=0.0, rank=2)
     with pytest.raises(ValueError):
@@ -161,6 +161,53 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(blob[:-20])
     with pytest.raises(TruncatedPayloadError):
         load(path)
+
+
+@pytest.mark.parametrize("storage", ["factorized", "dense"])
+def test_every_strict_prefix_is_truncation(tmp_path, storage):
+    path = tmp_path / "p.lmem"
+    if storage == "dense":
+        save_merged("merged", MergedDelta(targets={
+            "t0": Matrix(Rng(9).gaussian(12).reshape(3, 4))}), path,
+            storage="dense")
+    else:
+        save(rand_adapter(9), path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(TruncatedPayloadError):
+            load_container(path)
+
+
+def test_non_finite_payload_is_format_error(tmp_path):
+    path = tmp_path / "n.lmem"
+    save(rand_adapter(11, n_targets=1), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-4] + struct.pack("<f", float("nan")))
+    with pytest.raises(adapterio.FormatError, match="NaN or Inf entries"):
+        load(path)
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory) -> tuple:
+    path = tmp_path_factory.mktemp("flip") / "ad.lmem"
+    save(rand_adapter(10), path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_flipped_bits_raise_format_error_or_load(saved_blob, data):
+    path, blob = saved_blob
+    flipped = bytearray(blob)
+    for bit in data.draw(st.sets(st.integers(0, 8 * len(blob) - 1),
+                                 min_size=1, max_size=4)):
+        flipped[bit // 8] ^= 1 << bit % 8
+    path.write_bytes(bytes(flipped))
+    try:
+        load(path)
+    except adapterio.FormatError:
+        pass
 
 
 def test_offset_past_eof_is_truncation(tmp_path):
@@ -306,6 +353,13 @@ def test_save_merged_factorized_round_trip(tmp_path):
     np.testing.assert_allclose(
         delta(loaded.targets["t0"]).data,
         dense.data.astype(np.float32).astype(np.float64), atol=1e-6)
+
+
+def test_save_merged_refuses_an_unknown_storage(tmp_path):
+    merged = MergedDelta(targets={"t0": Matrix(np.ones((3, 4)))})
+    with pytest.raises(ValueError, match="unknown storage 'bogus'"):
+        save_merged("merged", merged, tmp_path / "b.lmem", storage="bogus")
+    assert not (tmp_path / "b.lmem").exists()
 
 
 def test_factorize_dense_is_exact_both_orientations():
