@@ -60,11 +60,6 @@ class SweepGrid:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError(f"tau must be in (0, 1], got {self.tau}")
 
-    @classmethod
-    def from_json(cls, blob: dict) -> "SweepGrid":
-        """The grid of a grid JSON object (`read_grid` also reads base)."""
-        return read_grid(blob)[0]
-
 
 def _is_list(value) -> bool:
     return isinstance(value, list)

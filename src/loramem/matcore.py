@@ -186,10 +186,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(np.zeros((rows, cols)))
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(np.eye(n))
 

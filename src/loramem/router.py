@@ -59,9 +59,6 @@ class EmbeddingIndex:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def entry(self, module_id: str) -> np.ndarray:
-        return self.vectors.data[self.ids.index(module_id)]
-
 
 def build_index(shards: list[tuple[str, Matrix]]) -> EmbeddingIndex:
     """Normalized mean of each shard's key rows, one entry per module."""

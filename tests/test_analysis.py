@@ -1,7 +1,9 @@
 import pytest
 
 from loramem import analysis, memlab
-from loramem.analysis import SweepGrid, SweepResult, efficiency_curve, find_t_max, run_sweep
+from loramem.analysis import (
+    SweepGrid, SweepResult, efficiency_curve, find_t_max, read_grid, run_sweep,
+)
 from loramem.memlab import TrainConfig
 
 
@@ -33,9 +35,9 @@ def test_grid_validation():
 
 def test_grid_json_rejects_unknown_keys():
     with pytest.raises(ValueError, match="rank"):
-        SweepGrid.from_json({"rank": [2]})
-    grid = SweepGrid.from_json({"ranks": [2], "loads": [16], "seeds": [1],
-                                "tau": 0.5, "base": {"steps": 10}})
+        read_grid({"rank": [2]})
+    grid, _ = read_grid({"ranks": [2], "loads": [16], "seeds": [1],
+                         "tau": 0.5, "base": {"steps": 10}})
     assert (grid.ranks, grid.loads, grid.seeds, grid.tau) == \
         ((2,), (16,), (1,), 0.5)
 

@@ -133,7 +133,8 @@ def test_untrained_pair_scores_zero():
     # chance on any record is ~1e-10, so 1000 records score exactly zero
     ds = make_dataset(gen_phonebook(1000, seed=31))
     pair = LowRankPair(a=Matrix(np.ones((4, ds.d_in))),
-                       b=Matrix.zeros(memlab.D_OUT, 4), alpha=4.0, rank=4)
+                       b=Matrix(np.zeros((memlab.D_OUT, 4))), alpha=4.0,
+                       rank=4)
     model = MemoryModel(w0=frozen_base(9, ds.d_in), pair=pair, d_in=ds.d_in)
     assert evaluate(model, ds) == 0.0
 
