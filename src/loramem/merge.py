@@ -314,7 +314,7 @@ def merge(adapters: list[Adapter], spec: MergeSpec) -> MergedDelta:
     """
     w = spec_weights(spec, len(adapters))
     target_ids = _shared_targets(adapters)
-    if w is None:
+    if spec.method == MergeMethod.CAT:
         return _cat(adapters, target_ids)
     combine = _weighted_sum if spec.method in (
         MergeMethod.LINEAR, MergeMethod.DARE_LINEAR) \

@@ -342,7 +342,8 @@ def test_dare_bytes_match_select_oracle(method):
 def test_dare_p_zero_equals_linear_and_ties():
     ads = [rand_adapter(20 + i, f"a{i}") for i in range(3)]
     for variant, plain in (
-            (MergeMethod.DARE_LINEAR, merge(ads, MergeSpec(MergeMethod.LINEAR))),
+            (MergeMethod.DARE_LINEAR,
+             merge(ads, MergeSpec(MergeMethod.LINEAR))),
             (MergeMethod.DARE_TIES,
              merge(ads, MergeSpec(MergeMethod.TIES, density=0.6)))):
         spec = MergeSpec(method=variant, drop_rate=0.0, density=0.6, seed=1)
